@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use ir_model::process::ProcessParams;
-use ir_model::vf::{LevelPercent, OperatingMode, VfPair, VfTable};
+use ir_model::vf::{LevelPercent, OperatingMode, VfTable};
 use pim_sim::chip::{ChipSimulator, ControllerDecision, GroupObservation, VfController};
 use pim_sim::group::{GroupId, MacroSet};
 
@@ -146,9 +146,13 @@ pub struct IrBoosterController {
     set_groups: Vec<Vec<GroupId>>,
     /// Running count of IRFailures handled (for reports/tests).
     failures_seen: u64,
-    /// Per-group preferred pair, reused every cycle (allocation-free path).
-    preferred: Vec<VfPair>,
-    /// Per-group set-synchronisation frequency cap, reused every cycle.
+    /// The decisions for the current levels.  With the table, mode and set
+    /// topology fixed they are a pure function of the levels, so they are
+    /// reselected only on a cycle that changed some group's level.
+    decisions: Vec<ControllerDecision>,
+    /// Some group's level changed since `decisions` was last selected.
+    levels_changed: bool,
+    /// Per-group set-synchronisation frequency cap (selection scratch).
     freq_cap: Vec<f64>,
 }
 
@@ -162,8 +166,8 @@ impl IrBoosterController {
     /// mapping's per-group worst HR, set topology from the mapping's sets.
     #[must_use]
     pub fn for_simulator(sim: &ChipSimulator, config: BoosterConfig) -> Self {
-        let params = sim.config().params;
-        let table = VfTable::derive_default(&params);
+        let params = &sim.config().params;
+        let table = VfTable::derive_default(params);
         let safe_levels: Vec<LevelPercent> = sim
             .group_worst_hr()
             .iter()
@@ -171,7 +175,7 @@ impl IrBoosterController {
             .collect();
         let mpg = params.macros_per_group;
         let set_groups = sim.sets().iter().map(|s| s.groups(mpg)).collect();
-        Self::new(&params, config, &safe_levels, set_groups)
+        Self::with_table(table, config, &safe_levels, set_groups)
     }
 
     /// Builds a controller from explicit safe levels and set topology.
@@ -182,7 +186,21 @@ impl IrBoosterController {
         group_safe_levels: &[LevelPercent],
         set_groups: Vec<Vec<GroupId>>,
     ) -> Self {
-        let table = VfTable::derive_default(params);
+        Self::with_table(
+            VfTable::derive_default(params),
+            config,
+            group_safe_levels,
+            set_groups,
+        )
+    }
+
+    /// [`Self::new`] around an already derived table.
+    fn with_table(
+        table: VfTable,
+        config: BoosterConfig,
+        group_safe_levels: &[LevelPercent],
+        set_groups: Vec<Vec<GroupId>>,
+    ) -> Self {
         let states: Vec<GroupBoostState> = group_safe_levels
             .iter()
             .map(|&lvl| GroupBoostState::new(lvl, config.aggressive))
@@ -194,7 +212,8 @@ impl IrBoosterController {
             states,
             set_groups,
             failures_seen: 0,
-            preferred: Vec::with_capacity(groups),
+            decisions: Vec::with_capacity(groups),
+            levels_changed: true,
             freq_cap: vec![f64::INFINITY; groups],
         }
     }
@@ -251,10 +270,7 @@ impl IrBoosterController {
         let mut st = self.states[g];
         if !self.config.aggressive {
             st.level = st.safe_level;
-            self.states[g] = st;
-            return;
-        }
-        if failure {
+        } else if failure {
             self.failures_seen += 1;
             st.level = st.safe_level;
             if st.safe_counter < beta / 5 {
@@ -273,24 +289,26 @@ impl IrBoosterController {
                 st.safe_counter = beta;
             }
         }
+        self.levels_changed |= st.level != self.states[g].level;
         self.states[g] = st;
     }
 
-    /// Picks the concrete pair for each group's level, honouring the set
-    /// frequency constraint: every group hosting members of one logical set
-    /// must run the same frequency, so each group is capped at the minimum
-    /// frequency its sets can reach.  Appends the decisions to `out` using
-    /// only the controller's internal scratch buffers.
-    fn select_points_into(&mut self, out: &mut Vec<ControllerDecision>) {
+    /// Selects the concrete pair for each group's level into `decisions`,
+    /// honouring the set frequency constraint: every group hosting members
+    /// of one logical set must run the same frequency, so each group is
+    /// capped at the minimum frequency its sets can reach.
+    fn select_points(&mut self) {
         let table = &self.table;
-        let states = &self.states;
         let mode = self.config.mode;
         // Preferred pair per group from its level and the operating mode.
-        self.preferred.clear();
-        self.preferred.extend(states.iter().map(|s| {
-            table
-                .select(s.level, mode)
-                .expect("every level has at least the sign-off pair")
+        self.decisions.clear();
+        self.decisions.extend(self.states.iter().map(|s| {
+            ControllerDecision {
+                point: table
+                    .select(s.level, mode)
+                    .expect("every level has at least the sign-off pair"),
+                level_percent: s.level,
+            }
         }));
         // Frequency cap per group = min preferred frequency over each set
         // that spans it.
@@ -298,18 +316,17 @@ impl IrBoosterController {
         for set in &self.set_groups {
             let min_f = set
                 .iter()
-                .map(|&g| self.preferred[g].frequency_ghz)
+                .map(|&g| self.decisions[g].point.frequency_ghz)
                 .fold(f64::INFINITY, f64::min);
             for &g in set {
                 self.freq_cap[g] = self.freq_cap[g].min(min_f);
             }
         }
-        for (g, pref) in self.preferred.iter_mut().enumerate() {
-            let cap = self.freq_cap[g];
-            if cap.is_finite() && pref.frequency_ghz > cap + 1e-12 {
+        for (d, &cap) in self.decisions.iter_mut().zip(&self.freq_cap) {
+            if cap.is_finite() && d.point.frequency_ghz > cap + 1e-12 {
                 // Re-select among the level's pairs at the capped frequency:
                 // lowest voltage that still reaches the cap.
-                let pairs = table.pairs_for_level(states[g].level);
+                let pairs = table.pairs_for_level(d.level_percent);
                 let candidate = pairs
                     .iter()
                     .filter(|p| p.frequency_ghz <= cap + 1e-12)
@@ -320,16 +337,10 @@ impl IrBoosterController {
                             .then(b.voltage.partial_cmp(&a.voltage).unwrap())
                     });
                 if let Some(p) = candidate {
-                    *pref = *p;
+                    d.point = *p;
                 }
             }
         }
-        out.extend(self.preferred.iter().zip(states.iter()).map(|(&point, s)| {
-            ControllerDecision {
-                point,
-                level_percent: s.level,
-            }
-        }));
     }
 }
 
@@ -348,7 +359,11 @@ impl VfController for IrBoosterController {
         for obs in observations {
             self.step_group(obs.group, obs.failure);
         }
-        self.select_points_into(out);
+        if self.levels_changed {
+            self.select_points();
+            self.levels_changed = false;
+        }
+        out.extend_from_slice(&self.decisions);
     }
 
     fn name(&self) -> &'static str {
@@ -365,6 +380,7 @@ pub fn set_group_topology(sets: &[MacroSet], macros_per_group: usize) -> Vec<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir_model::vf::VfPair;
     use pim_sim::chip::{ChipConfig, MacroTask};
 
     fn params() -> ProcessParams {
@@ -576,5 +592,95 @@ mod tests {
         assert!(boosted.avg_macro_power_mw < baseline.avg_macro_power_mw * 0.8);
         assert!(boosted.worst_irdrop_mv < baseline.worst_irdrop_mv);
         assert!(boosted.effective_tops > baseline.effective_tops * 0.9);
+    }
+
+    /// Reference decision path: steps every group, then reselects every
+    /// group's pair, whether or not any level changed.
+    fn decide_reselecting(
+        c: &mut IrBoosterController,
+        observations: &[GroupObservation],
+    ) -> Vec<ControllerDecision> {
+        for obs in observations {
+            c.step_group(obs.group, obs.failure);
+        }
+        c.select_points();
+        c.decisions.clone()
+    }
+
+    #[test]
+    fn reused_decisions_match_reselecting_every_cycle() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let params = params();
+        let groups = params.macro_groups;
+        let levels: Vec<LevelPercent> = VfTable::derive_default(&params).levels().to_vec();
+        // No sets, a few overlapping multi-group sets, adjacent pairs, and
+        // one set spanning the whole chip.
+        let topologies: Vec<Vec<Vec<GroupId>>> = vec![
+            vec![],
+            vec![vec![0, 1], vec![1, 2, 3], vec![4, 9, 15], vec![7, 8]],
+            (0..groups / 2).map(|i| vec![2 * i, 2 * i + 1]).collect(),
+            vec![(0..groups).collect()],
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB005_7E12);
+        let (mut cycles, mut reused_cycles, mut capped_decisions) = (0u64, 0u64, 0u64);
+        for mode in [OperatingMode::Sprint, OperatingMode::LowPower] {
+            for aggressive in [true, false] {
+                for beta in [1, 7, 50] {
+                    for sets in &topologies {
+                        let safe: Vec<LevelPercent> = (0..groups)
+                            .map(|_| levels[rng.gen_range(0..levels.len())])
+                            .collect();
+                        let config = BoosterConfig {
+                            beta,
+                            mode,
+                            aggressive,
+                        };
+                        let mut reusing =
+                            IrBoosterController::new(&params, config, &safe, sets.clone());
+                        let mut reference = reusing.clone();
+                        let failure_rate = [0.0, 0.002, 0.03, 0.3][rng.gen_range(0..4)];
+                        for cycle in 0..300 {
+                            let observations: Vec<GroupObservation> = (0..groups)
+                                .map(|group| GroupObservation {
+                                    group,
+                                    failure: rng.gen_bool(failure_rate),
+                                    active: true,
+                                    worst_known_hr: None,
+                                    point: VfPair::new(0.75, 1.0),
+                                })
+                                .collect();
+                            let before = reusing.current_levels();
+                            let got = reusing.decide(cycle, &observations);
+                            let want = decide_reselecting(&mut reference, &observations);
+                            assert_eq!(
+                                got, want,
+                                "{config:?}, sets {sets:?}, cycle {cycle}: reused decisions \
+                                 differ from reselected ones"
+                            );
+                            cycles += 1;
+                            if cycle > 0 && before == reusing.current_levels() {
+                                reused_cycles += 1;
+                            }
+                            capped_decisions += want
+                                .iter()
+                                .filter(|d| {
+                                    d.point != reusing.table.select(d.level_percent, mode).unwrap()
+                                })
+                                .count() as u64;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            reused_cycles > cycles / 2,
+            "most cycles must take the reuse path ({reused_cycles} of {cycles})"
+        );
+        assert!(
+            capped_decisions > 0,
+            "some set must have capped a group's frequency"
+        );
     }
 }

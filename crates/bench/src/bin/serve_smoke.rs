@@ -20,7 +20,8 @@
 //! coarse-stepped and a sequential fine-stepped session (worker-count and
 //! `run_until`-granularity independence at scale), on peak process RSS
 //! (`VmHWM`) staying under a ceiling independent of the request count, and
-//! (with `--check-regression`) on `serve_hyper_virtual_rps`.
+//! (with `--check-regression`) on `serve_hyper_virtual_rps`, against the
+//! last recorded run of the same request count.
 //!
 //! With `--mode fleet` the benchmark drives a 2-shard [`FleetSession`]
 //! through a scripted chaos drill — one chip death mid-burst, one
@@ -84,7 +85,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use aim_bench::{append_bench_record, last_bench_value};
+use aim_bench::{append_bench_record, bench_json_path, last_bench_value, last_matching_value};
 use aim_core::pipeline::{AimConfig, CompiledPlan};
 use aim_serve::scheduler::form_groups;
 use aim_serve::{
@@ -1606,7 +1607,18 @@ fn peak_rss_mib() -> Option<f64> {
 #[allow(clippy::too_many_lines)]
 fn run_hyperscale(label: &str, requests: usize, check_regression: bool) -> ExitCode {
     let gate_field = "serve_hyper_virtual_rps";
-    let previous_rps = last_bench_value(gate_field);
+    // Virtual throughput depends on the trace length, so only an earlier
+    // run of the same request count is a baseline.
+    let previous_rps = std::fs::read_to_string(bench_json_path())
+        .ok()
+        .and_then(|trajectory| {
+            last_matching_value(
+                &trajectory,
+                gate_field,
+                "serve_hyper_requests",
+                requests as f64,
+            )
+        });
 
     let plans = compile_zoo();
     let traffic = hyper_traffic(requests);

@@ -100,11 +100,15 @@ pub fn append_bench_record<T: Serialize>(record: &T) {
 /// Used by smoke binaries to compare a fresh run against the trajectory.
 #[must_use]
 pub fn last_bench_value(field: &str) -> Option<f64> {
-    let contents = fs::read_to_string(bench_json_path()).ok()?;
+    last_field_value(&fs::read_to_string(bench_json_path()).ok()?, field)
+}
+
+/// Last numeric value of `"field": <number>` anywhere in `text`.
+fn last_field_value(text: &str, field: &str) -> Option<f64> {
     let needle = format!("\"{field}\":");
     let mut last = None;
-    for (pos, _) in contents.match_indices(&needle) {
-        let rest = contents[pos + needle.len()..].trim_start();
+    for (pos, _) in text.match_indices(&needle) {
+        let rest = text[pos + needle.len()..].trim_start();
         let end = rest
             .find(|c: char| {
                 !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
@@ -115,6 +119,55 @@ pub fn last_bench_value(field: &str) -> Option<f64> {
         }
     }
     last
+}
+
+/// The record objects of a `BENCH_chip_sim.json` text (the objects one
+/// level inside the file's top-level object), in file order.
+fn bench_records(text: &str) -> Vec<&str> {
+    let mut records = Vec::new();
+    let (mut depth, mut start) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, c) in text.char_indices() {
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' => {
+                depth += 1;
+                if depth == 2 {
+                    start = i;
+                }
+            }
+            '}' => {
+                if depth == 2 {
+                    records.push(&text[start..=i]);
+                }
+                depth = depth.saturating_sub(1);
+            }
+            _ => {}
+        }
+    }
+    records
+}
+
+/// Last value of `field` among the records of trajectory `text` whose
+/// `key` field equals `key_value`: a gate compares a run only against
+/// earlier runs of the same workload, whatever ran in between.
+#[must_use]
+pub fn last_matching_value(text: &str, field: &str, key: &str, key_value: f64) -> Option<f64> {
+    bench_records(text)
+        .into_iter()
+        .rev()
+        .filter(|record| last_field_value(record, key) == Some(key_value))
+        .find_map(|record| last_field_value(record, field))
 }
 
 /// Prints a section header for an experiment binary.
@@ -176,5 +229,44 @@ mod tests {
         let v = last_bench_value("chip_sim_static_ms");
         assert!(v.is_some_and(|v| v > 0.0));
         assert_eq!(last_bench_value("no_such_field"), None);
+    }
+
+    #[test]
+    fn last_matching_value_skips_records_of_other_request_counts() {
+        let trajectory = r#"{
+  "benchmark": "chip_sim",
+  "records": [
+    {
+      "label": "ci {full}",
+      "serve_hyper_requests": 1000000,
+      "serve_hyper_virtual_rps": 15959308.869361965,
+      "serve_hyper_requests_failed_over": 37
+    },
+    {
+      "label": "verify",
+      "serve_hyper_requests": 200000,
+      "serve_hyper_virtual_rps": 21970042.748210676,
+      "serve_hyper_requests_failed_over": 12
+    }
+  ]
+}
+"#;
+        let rps = |requests: f64| {
+            last_matching_value(
+                trajectory,
+                "serve_hyper_virtual_rps",
+                "serve_hyper_requests",
+                requests,
+            )
+        };
+        assert_eq!(rps(1e6), Some(15_959_308.869_361_965));
+        assert_eq!(rps(2e5), Some(21_970_042.748_210_676));
+        assert_eq!(rps(1e5), None);
+        // The workload-blind scan gates a 10^6-request run against the
+        // 200 k-request record.
+        assert_eq!(
+            last_field_value(trajectory, "serve_hyper_virtual_rps"),
+            Some(21_970_042.748_210_676)
+        );
     }
 }

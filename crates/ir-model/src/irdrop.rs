@@ -48,6 +48,35 @@ impl IrDropBreakdown {
     }
 }
 
+/// [`IrDropModel`] at one fixed operating point (see
+/// [`IrDropModel::at_point`]).  A simulator evaluating many toggle rates at
+/// one point derives the point's drive scale once; every evaluation returns
+/// the same bits as the model's own methods at that point.
+#[derive(Debug, Clone, Copy)]
+pub struct PointDroop {
+    static_mv: f64,
+    coefficient: f64,
+    drive_scale: f64,
+}
+
+impl PointDroop {
+    /// Static/dynamic breakdown in mV at toggle rate `rtog` (clamped to
+    /// `[0, 1]`).
+    fn breakdown(&self, rtog: f64) -> IrDropBreakdown {
+        let rtog = rtog.clamp(0.0, 1.0);
+        IrDropBreakdown {
+            static_mv: self.static_mv,
+            dynamic_mv: self.coefficient * rtog * self.drive_scale * 1e3,
+        }
+    }
+
+    /// Total IR-drop in mV at toggle rate `rtog`.
+    #[must_use]
+    pub fn irdrop_mv(&self, rtog: f64) -> f64 {
+        self.breakdown(rtog).total_mv()
+    }
+}
+
 impl IrDropModel {
     /// Creates a model from the given process constants.
     #[must_use]
@@ -78,16 +107,19 @@ impl IrDropModel {
             "rtog out of range: {rtog}"
         );
         debug_assert!(voltage > 0.0 && frequency_ghz > 0.0);
-        let rtog = rtog.clamp(0.0, 1.0);
+        self.at_point(voltage, frequency_ghz).breakdown(rtog)
+    }
+
+    /// Eq. 2 at one operating point, as a function of `Rtog` alone.
+    #[must_use]
+    pub fn at_point(&self, voltage: f64, frequency_ghz: f64) -> PointDroop {
         let p = &self.params;
         // Dynamic currents scale with the drive point: switching current is
         // C·V·f and short-circuit current grows with both V and f.
-        let drive_scale = (voltage / p.nominal_voltage) * (frequency_ghz / p.nominal_frequency_ghz);
-        let static_v = p.static_droop();
-        let dynamic_v = p.dynamic_droop_coefficient() * rtog * drive_scale;
-        IrDropBreakdown {
-            static_mv: static_v * 1e3,
-            dynamic_mv: dynamic_v * 1e3,
+        PointDroop {
+            static_mv: p.static_droop() * 1e3,
+            coefficient: p.dynamic_droop_coefficient(),
+            drive_scale: (voltage / p.nominal_voltage) * (frequency_ghz / p.nominal_frequency_ghz),
         }
     }
 

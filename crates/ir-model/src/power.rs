@@ -42,6 +42,40 @@ impl PowerBreakdown {
     }
 }
 
+/// [`PowerModel`] for an active macro at one fixed operating point (see
+/// [`PowerModel::at_point`]).  Every evaluation returns the same bits as
+/// [`PowerModel::macro_power`] at that point.
+#[derive(Debug, Clone, Copy)]
+pub struct PointPower {
+    leakage_mw: f64,
+    baseline_dynamic_mw: f64,
+    /// `CV²f` times the activity-dependent fraction (W).
+    toggle_dynamic_w: f64,
+}
+
+impl PointPower {
+    /// Power breakdown at average toggle rate `toggle_rate` (clamped to
+    /// `[0, 1]`).
+    fn breakdown(&self, toggle_rate: f64) -> PowerBreakdown {
+        let toggle = toggle_rate.clamp(0.0, 1.0);
+        // The activity-dependent share is normalised so that at the
+        // REFERENCE_TOGGLE activity the total dynamic power equals CV²f.
+        PowerBreakdown {
+            leakage_mw: self.leakage_mw,
+            baseline_dynamic_mw: self.baseline_dynamic_mw,
+            toggle_dynamic_mw: self.toggle_dynamic_w
+                * (toggle / PowerModel::REFERENCE_TOGGLE)
+                * 1e3,
+        }
+    }
+
+    /// Total macro power in mW at average toggle rate `toggle_rate`.
+    #[must_use]
+    pub fn total_mw(&self, toggle_rate: f64) -> f64 {
+        self.breakdown(toggle_rate).total_mw()
+    }
+}
+
 /// Aggregated energy/performance figures for a complete run of a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct EnergyReport {
@@ -111,28 +145,29 @@ impl PowerModel {
         frequency_ghz: f64,
         active: bool,
     ) -> PowerBreakdown {
-        let p = &self.params;
-        let toggle = toggle_rate.clamp(0.0, 1.0);
-        // Leakage grows roughly linearly with V in the small range we sweep.
-        let leakage_w = p.leakage_current * voltage;
         if !active {
+            // Leakage grows roughly linearly with V in the small range we
+            // sweep.
             return PowerBreakdown {
-                leakage_mw: leakage_w * 1e3,
+                leakage_mw: self.params.leakage_current * voltage * 1e3,
                 baseline_dynamic_mw: 0.0,
                 toggle_dynamic_mw: 0.0,
             };
         }
+        self.at_point(voltage, frequency_ghz).breakdown(toggle_rate)
+    }
+
+    /// The model for an active macro at one operating point, as a function
+    /// of the toggle rate alone.
+    #[must_use]
+    pub fn at_point(&self, voltage: f64, frequency_ghz: f64) -> PointPower {
+        let p = &self.params;
         let f_hz = frequency_ghz * 1e9;
         let dynamic_w = p.macro_capacitance * voltage * voltage * f_hz;
-        let baseline_w = dynamic_w * p.activity_independent_fraction;
-        // The activity-dependent share is normalised so that at the
-        // REFERENCE_TOGGLE activity the total dynamic power equals CV²f.
-        let toggle_w =
-            dynamic_w * (1.0 - p.activity_independent_fraction) * (toggle / Self::REFERENCE_TOGGLE);
-        PowerBreakdown {
-            leakage_mw: leakage_w * 1e3,
-            baseline_dynamic_mw: baseline_w * 1e3,
-            toggle_dynamic_mw: toggle_w * 1e3,
+        PointPower {
+            leakage_mw: p.leakage_current * voltage * 1e3,
+            baseline_dynamic_mw: dynamic_w * p.activity_independent_fraction * 1e3,
+            toggle_dynamic_w: dynamic_w * (1.0 - p.activity_independent_fraction),
         }
     }
 

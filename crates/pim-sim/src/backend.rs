@@ -210,6 +210,7 @@ impl ExecutionBackend for CycleAccurate {
             let mut worst_droop_this_cycle = 0.0f64;
             for g in 0..groups {
                 let point = scratch.points[g];
+                let droop_at = topo.irdrop.at_point(point.voltage, point.frequency_ghz);
                 let mut group_active = false;
                 let mut worst_macro = None;
                 let mut worst_droop = 0.0f64;
@@ -241,14 +242,9 @@ impl ExecutionBackend for CycleAccurate {
                         scratch.rtog[m] = (hr * flip_row[m]).clamp(0.0, 1.0);
                     }
                     group_active = true;
-                    let rtog = scratch.rtog[m];
                     // Stalled/recomputing macros evaluate the droop model at
-                    // toggle 0 — a pure function of the operating point, so
-                    // the per-group memo returns the identical bits without
-                    // re-evaluating.
-                    let droop = topo
-                        .irdrop
-                        .irdrop_mv(rtog, point.voltage, point.frequency_ghz);
+                    // toggle 0.
+                    let droop = droop_at.irdrop_mv(scratch.rtog[m]);
                     droop_accum += droop;
                     droop_samples += 1;
                     if droop > worst_droop {
@@ -277,11 +273,9 @@ impl ExecutionBackend for CycleAccurate {
                 worst_droop_this_cycle = worst_droop_this_cycle.max(worst_droop);
 
                 // The monitor threshold tracks the group's current frequency,
-                // minus the configured setup margin.  The vmin bisection only
-                // reruns when the group's frequency actually changed.
-                monitor.set_threshold(
-                    scratch.vmin_threshold(g, point.frequency_ghz, &topo.timing) - margin,
-                );
+                // minus the configured setup margin.  The vmin bisection runs
+                // once per frequency, not per cycle (see `VminMemo`).
+                monitor.set_threshold(scratch.vmin_memo.vmin(point.frequency_ghz) - margin);
                 let v_eff = point.voltage - worst_droop * 1e-3;
                 let failure = group_active && monitor.is_failure(v_eff);
                 if failure {
@@ -330,41 +324,38 @@ impl ExecutionBackend for CycleAccurate {
             // --- progress, power and accounting ---------------------------------
             // This sweep must stay separate from the fused one: it reads the
             // deferred `stall_until`/`penalty_until` writes of *every* group
-            // in the same cycle (sets span groups).
-            for m in 0..total_macros {
-                if !scratch.busy[m] {
-                    continue;
-                }
-                let g = topo.macro_group[m];
+            // in the same cycle (sets span groups).  Group-major order is
+            // flat macro order, so the accumulation order is unchanged.
+            for g in 0..groups {
                 let point = scratch.points[g];
-                let in_penalty = cycle < scratch.penalty_until[m];
-                let in_stall = cycle < scratch.stall_until[m];
-                let (toggle, progressed) = if in_penalty || in_stall {
-                    (0.0, false)
-                } else {
-                    (scratch.rtog[m], true)
-                };
-                if progressed {
-                    scratch.remaining[m] -= 1;
-                    if scratch.remaining[m] == 0 {
-                        unfinished -= 1;
+                let power_at = topo.power.at_point(point.voltage, point.frequency_ghz);
+                for m in (g * mpg)..((g + 1) * mpg) {
+                    if !scratch.busy[m] {
+                        continue;
                     }
-                    report.useful_macro_cycles += 1;
-                    freq_weighted_useful += point.frequency_ghz;
-                } else if in_penalty {
-                    report.recompute_macro_cycles += 1;
-                } else {
-                    report.stall_macro_cycles += 1;
-                    report.per_macro_stall_cycles[m] += 1;
+                    let in_penalty = cycle < scratch.penalty_until[m];
+                    let in_stall = cycle < scratch.stall_until[m];
+                    let (toggle, progressed) = if in_penalty || in_stall {
+                        (0.0, false)
+                    } else {
+                        (scratch.rtog[m], true)
+                    };
+                    if progressed {
+                        scratch.remaining[m] -= 1;
+                        if scratch.remaining[m] == 0 {
+                            unfinished -= 1;
+                        }
+                        report.useful_macro_cycles += 1;
+                        freq_weighted_useful += point.frequency_ghz;
+                    } else if in_penalty {
+                        report.recompute_macro_cycles += 1;
+                    } else {
+                        report.stall_macro_cycles += 1;
+                        report.per_macro_stall_cycles[m] += 1;
+                    }
+                    power_accum += power_at.total_mw(toggle);
+                    power_samples += 1;
                 }
-                // Zero-toggle power is a pure function of the operating
-                // point; the memo hands back the identical bits.
-                let p_mw = topo
-                    .power
-                    .macro_power(toggle, point.voltage, point.frequency_ghz, true)
-                    .total_mw();
-                power_accum += p_mw;
-                power_samples += 1;
             }
 
             // --- optional trace --------------------------------------------------

@@ -486,12 +486,56 @@ pub struct ChipSimulator {
     pub(crate) flip_bank: Arc<FlipBank>,
 }
 
+/// Most frequencies one [`VminMemo`] holds before it starts over.  A
+/// controller picks from a small V-f grid, so this bound is only reached by
+/// sweeps running many arbitrary fixed points through one session.
+const VMIN_MEMO_CAP: usize = 32;
+
+/// `TimingModel::vmin` memoised per frequency for one timing model.
+///
+/// The monitor threshold of a group is `vmin` of its frequency, an 80-step
+/// bisection.  Controllers only ever visit a few grid frequencies, so the
+/// memo outlives a run: a session replaying simulators that share a timing
+/// model pays each bisection once, not once per group per run.  Keys are
+/// the frequency's bits, and the memo empties whenever the timing model
+/// changes, so every value is exactly what `timing.vmin` would return.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VminMemo {
+    timing: TimingModel,
+    entries: Vec<(u64, f64)>,
+}
+
+impl VminMemo {
+    /// Keeps the memo if it was filled for `timing`, else empties it.
+    fn retarget(&mut self, timing: &TimingModel) {
+        if self.timing != *timing {
+            self.timing = *timing;
+            self.entries.clear();
+        }
+    }
+
+    /// `vmin(frequency_ghz)` of the current timing model.
+    #[inline]
+    pub(crate) fn vmin(&mut self, frequency_ghz: f64) -> f64 {
+        let key = frequency_ghz.to_bits();
+        if let Some(&(_, v)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return v;
+        }
+        let v = self.timing.vmin(frequency_ghz);
+        if self.entries.len() == VMIN_MEMO_CAP {
+            self.entries.clear();
+        }
+        self.entries.push((key, v));
+        v
+    }
+}
+
 /// Reusable per-run state of [`ChipSimulator::run`].
 ///
 /// The seed implementation allocated `rtog`, `busy` and the observation
 /// vector afresh every simulated cycle; hoisting them here (plus the per-run
-/// progress/penalty vectors and the per-group `vmin` cache) makes the cycle
-/// loop allocation-free.  One scratch can be reused across any number of runs
+/// progress/penalty vectors and the `vmin` memo) makes the cycle loop
+/// allocation-free.  One scratch can be reused across any number of runs
 /// of simulators with the same chip geometry via
 /// [`ChipSimulator::run_with_scratch`].
 #[derive(Debug, Clone)]
@@ -504,11 +548,9 @@ pub struct SimScratch {
     pub(crate) points: Vec<VfPair>,
     pub(crate) observations: Vec<GroupObservation>,
     pub(crate) decisions: Vec<ControllerDecision>,
-    /// Per group: the frequency the monitor threshold was last derived for
-    /// and the corresponding `timing.vmin`.  Operating points change rarely
-    /// relative to the cycle rate, so this removes the 80-step `vmin`
-    /// bisection from almost every cycle.
-    pub(crate) vmin_cache: Vec<(f64, f64)>,
+    /// Monitor threshold source; survives [`Self::reset`] while the timing
+    /// model stays the same.
+    pub(crate) vmin_memo: VminMemo,
     /// Failure effects `(failing macro, penalty deadline)` detected during
     /// the fused activity/droop sweep, applied to `penalty_until` /
     /// `stall_until` only after the sweep.  Deferral keeps the fused kernel
@@ -531,7 +573,7 @@ impl SimScratch {
             points: vec![VfPair::new(0.0, 0.0); groups],
             observations: Vec::with_capacity(groups),
             decisions: Vec::with_capacity(groups),
-            vmin_cache: vec![(f64::NAN, 0.0); groups],
+            vmin_memo: VminMemo::default(),
             pending_failures: Vec::new(),
         }
     }
@@ -559,26 +601,8 @@ impl SimScratch {
         ));
         self.observations.clear();
         self.decisions.clear();
-        self.vmin_cache.fill((f64::NAN, 0.0));
+        self.vmin_memo.retarget(&sim.topology.timing);
         self.pending_failures.clear();
-    }
-
-    /// Monitor threshold voltage for group `g` at `frequency_ghz`, recomputed
-    /// only when the group's frequency actually changed.
-    #[inline]
-    pub(crate) fn vmin_threshold(
-        &mut self,
-        g: usize,
-        frequency_ghz: f64,
-        timing: &TimingModel,
-    ) -> f64 {
-        let (cached_f, cached_v) = self.vmin_cache[g];
-        if cached_f == frequency_ghz {
-            return cached_v;
-        }
-        let v = timing.vmin(frequency_ghz);
-        self.vmin_cache[g] = (frequency_ghz, v);
-        v
     }
 }
 
@@ -900,6 +924,43 @@ mod tests {
         }
         assert_eq!(session.runs(), 3);
         assert_eq!(session.simulated_cycles(), 300 + 250 + 300);
+    }
+
+    #[test]
+    fn session_vmin_memo_does_not_leak_across_timing_models() {
+        // Same geometry, different timing model: only the cells' threshold
+        // voltage differs, so droop and power agree and the chips differ
+        // only through the monitor threshold `vmin(f)` off the nominal
+        // frequency.
+        let params_a = ProcessParams::dpim_7nm();
+        let params_b = ProcessParams {
+            threshold_voltage: params_a.threshold_voltage + 0.05,
+            ..params_a
+        };
+        assert_ne!(
+            TimingModel::from_process(&params_a),
+            TimingModel::from_process(&params_b)
+        );
+        let sim_a = ChipSimulator::new(config(), uniform_tasks(0.6, 300));
+        let sim_b = ChipSimulator::new(
+            ChipConfig {
+                params: params_b,
+                ..config()
+            },
+            uniform_tasks(0.6, 300),
+        );
+        let point = VfPair::new(0.66, 1.2);
+        let fresh_a = sim_a.run(&mut StaticController::fixed(point), 20_000);
+        let fresh_b = sim_b.run(&mut StaticController::fixed(point), 20_000);
+        assert_ne!(
+            fresh_a.failures, fresh_b.failures,
+            "the two timing models must disagree on failures at this point"
+        );
+        let mut session = SimSession::new();
+        for (sim, fresh) in [(&sim_a, &fresh_a), (&sim_b, &fresh_b), (&sim_a, &fresh_a)] {
+            let via_session = session.run(sim, &mut StaticController::fixed(point), 20_000);
+            assert_eq!(&via_session, fresh);
+        }
     }
 
     #[test]
