@@ -57,6 +57,8 @@
 //! [`run_until`]: FleetSession::run_until
 //! [`FaultPlan`]: workloads::inputs::FaultPlan
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use pim_sim::backend::ChipHealth;
@@ -64,7 +66,7 @@ use workloads::inputs::{FaultEvent, FaultKind, FaultPlan, SloClass, TraceRequest
 
 use crate::report::{DagServeStats, ReportAccumulator, ServeReport};
 use crate::runtime::ServeRuntime;
-use crate::session::{RequestOutcome, ServeSession};
+use crate::session::{ReplayMemo, RequestOutcome, ServeSession};
 
 /// Policy routing each arriving request to a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -390,8 +392,14 @@ impl<'rt> FleetSession<'rt> {
                 event.kind.chip()
             );
         }
-        let mut shards: Vec<ServeSession<'rt>> =
-            (0..config.shards).map(|_| runtime.session()).collect();
+        // One replay memo per fleet run: every shard numbers its groups from
+        // 0 under the same serve seed, so shards replay the same `(model,
+        // seed offset)` pairs.  It drops with the fleet, so no later run
+        // over this runtime recalls this run's replays.
+        let replays = Arc::new(ReplayMemo::default());
+        let mut shards: Vec<ServeSession<'rt>> = (0..config.shards)
+            .map(|_| ServeSession::sharing_replays(runtime, Arc::clone(&replays)))
+            .collect();
         if config.initial_workers > 0 {
             for session in &mut shards {
                 session.set_worker_count(config.initial_workers, 0);
@@ -829,5 +837,91 @@ impl<'rt> FleetSession<'rt> {
             }
         }
         self.peak_workers = self.peak_workers.max(self.active_workers());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use pim_sim::backend::BackendKind;
+    use workloads::inputs::{synthetic_trace, ArrivalShape, SloMix, TrafficConfig};
+
+    use super::*;
+    use crate::runtime::ServeConfig;
+    use crate::session::{replay_seed_offset, verify_sampled, CompletionStatus};
+
+    /// Two fleet runs in turn over one runtime.  Each run's shared replay
+    /// memo misses exactly once per distinct `(model, seed offset)` among
+    /// the groups it ran cycle-accurately (audit-chip groups and sampled
+    /// verifications) and recalls every repeat.  A memo that outlived its
+    /// fleet would hand the second run the first run's replays and miss
+    /// nothing.
+    #[test]
+    fn each_fleet_run_replays_every_distinct_model_and_offset_once() {
+        let serve = ServeConfig {
+            chips: 3,
+            max_batch: 2,
+            backend: BackendKind::Analytical,
+            audit_chips: 1,
+            verify_every: 2,
+            ..ServeConfig::default()
+        };
+        let runtime = ServeRuntime::from_plans(crate::scenario::reference_plans(), serve);
+        let trace = synthetic_trace(&TrafficConfig {
+            requests: 48,
+            models: runtime.plans().len(),
+            mean_interarrival_cycles: 600.0,
+            burst_repeat_prob: 0.5,
+            deadline_slack_cycles: 50_000,
+            shape: ArrivalShape::BurstyExponential,
+            slo_mix: SloMix::Mixed {
+                latency_share: 0.25,
+                best_effort_share: 0.25,
+            },
+            seed: 0x3E30,
+        });
+        let config = FleetConfig {
+            shards: 3,
+            ..FleetConfig::default()
+        };
+        for run in 0..2 {
+            let mut fleet = FleetSession::new(&runtime, config, FaultPlan::none());
+            let misses_before = fleet.shards[0].replay_memo().misses();
+            for request in &trace {
+                fleet.submit(*request);
+            }
+            let report = fleet.drain();
+            assert_eq!(report.serve.served_requests, trace.len());
+            let memo = fleet.shards[0].replay_memo();
+            assert!(fleet
+                .shards
+                .iter()
+                .all(|shard| std::ptr::eq(shard.replay_memo(), memo)));
+            let misses = memo.misses() - misses_before;
+
+            // Cycle-accurate `(shard, group)`s, and their `(model, offset)`s.
+            let (mut replays, mut distinct) = (HashSet::new(), HashSet::new());
+            for FleetOutcome { shard, outcome } in fleet.poll_completions() {
+                let CompletionStatus::Served { chip, group, .. } = outcome.status else {
+                    continue;
+                };
+                let cycle_accurate = chip < serve.audit_chips
+                    || verify_sampled(serve.seed, group, serve.verify_every);
+                if cycle_accurate && replays.insert((shard, group)) {
+                    distinct.insert((outcome.model, replay_seed_offset(serve.seed, group)));
+                }
+            }
+            assert!(
+                !distinct.is_empty() && replays.len() > distinct.len(),
+                "run {run}: shards must repeat each other's replays"
+            );
+            assert_eq!(
+                misses,
+                distinct.len() as u64,
+                "run {run}: misses of {} cycle-accurate replays",
+                replays.len()
+            );
+        }
     }
 }

@@ -48,6 +48,12 @@
 //! `parallel`, of the worker-thread count, and of how the caller interleaves
 //! `run_until`/`poll_completions` between submissions.
 //!
+//! A cycle-accurate replay is a pure function of `(model, seed offset)`, so
+//! every replay goes through a bounded replay memo.  A plain session owns
+//! its memo; the shards of a [`crate::fleet::FleetSession`] share one for the
+//! fleet's lifetime, because every shard numbers its groups from 0 under the
+//! same serve seed and would otherwise recompute each other's replays.
+//!
 //! ## Faults and elasticity
 //!
 //! Three hooks let a fleet layer (see [`crate::fleet`]) reshape a running
@@ -110,7 +116,8 @@
 //! [`AdmissionConfig::cap_for`]: crate::scheduler::AdmissionConfig::cap_for
 //! [`ServeConfig::completion_capacity`]: crate::runtime::ServeConfig::completion_capacity
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -418,6 +425,66 @@ impl ChipLane {
     }
 }
 
+/// Most replay results one [`ReplayMemo`] holds; a full memo starts over.
+const REPLAY_MEMO_CAP: usize = 4096;
+
+/// Cycle-accurate replay results keyed by `(model, seed offset)`, shared by
+/// every shard of one fleet run (a plain session owns its own).
+///
+/// [`aim_core::pipeline::CompiledPlan::execute_with_session`] is a pure
+/// function of the plan and the seed offset, so a hit is byte-identical to
+/// recomputing, and a miss after the memo starts over only costs time.  The
+/// memo lives exactly as long as its sessions: repeated runs over one
+/// [`ServeRuntime`] never share answers.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    results: HashMap<(usize, u64), PlanExecution>,
+    /// Replays computed rather than recalled.
+    misses: u64,
+}
+
+impl ReplayMemo {
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().expect("replay memo poisoned")
+    }
+
+    /// The replay result for `key`, recalled, or computed by `replay` and
+    /// remembered.  `replay` runs outside the lock; a concurrent miss on
+    /// the same key computes the same value.
+    fn recall_or(
+        &self,
+        key: (usize, u64),
+        replay: impl FnOnce() -> PlanExecution,
+    ) -> PlanExecution {
+        if let Some(&exec) = self.lock().results.get(&key) {
+            return exec;
+        }
+        let exec = replay();
+        let mut state = self.lock();
+        if state.results.len() >= REPLAY_MEMO_CAP {
+            state.results.clear();
+        }
+        state.results.insert(key, exec);
+        state.misses += 1;
+        exec
+    }
+
+    #[cfg(test)]
+    pub(crate) fn misses(&self) -> u64 {
+        self.lock().misses
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lock().results.len()
+    }
+}
+
 /// Result of executing one slot, harvested back into the session.
 #[derive(Debug, Clone, Copy)]
 struct SlotResult {
@@ -462,12 +529,21 @@ pub struct ServeSession<'rt> {
     completions_dropped: u64,
     failed_over_groups: usize,
     failed_over_requests: usize,
+    /// Cycle-accurate replay results, shared with the other shards of a
+    /// fleet run.
+    replays: Arc<ReplayMemo>,
 }
 
 impl<'rt> ServeSession<'rt> {
     /// Opens a session over the runtime's fleet, at virtual cycle 0.
     #[must_use]
     pub fn new(runtime: &'rt ServeRuntime) -> Self {
+        Self::sharing_replays(runtime, Arc::default())
+    }
+
+    /// [`Self::new`], recalling and recording cycle-accurate replays in
+    /// `replays` — the memo a fleet hands all of its shards.
+    pub(crate) fn sharing_replays(runtime: &'rt ServeRuntime, replays: Arc<ReplayMemo>) -> Self {
         let config = runtime.config();
         let lanes = (0..config.chips)
             .map(|chip| ChipLane {
@@ -512,6 +588,7 @@ impl<'rt> ServeSession<'rt> {
             completions_dropped: 0,
             failed_over_groups: 0,
             failed_over_requests: 0,
+            replays,
         }
     }
 
@@ -541,6 +618,11 @@ impl<'rt> ServeSession<'rt> {
     /// [`ServeConfig::calibration`]: crate::runtime::ServeConfig::calibration
     fn loop_config(runtime: &ServeRuntime) -> Option<CalibrationLoopConfig> {
         runtime.analytical_plans().and(runtime.config().calibration)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn replay_memo(&self) -> &ReplayMemo {
+        &self.replays
     }
 
     /// The session's virtual clock (cycles).
@@ -1318,17 +1400,22 @@ impl<'rt> ServeSession<'rt> {
         let cal_snapshot: Vec<(f64, bool)> =
             self.cal.iter().map(|s| (s.adjust, s.demoted)).collect();
         let loop_on = !cal_snapshot.is_empty();
+        let replays = &*self.replays;
         let lanes = std::mem::take(&mut self.lanes);
         let run = |mut lane: ChipLane| -> (ChipLane, Vec<SlotResult>) {
             let mut results = Vec::new();
             let model_cal = |model: usize| cal_snapshot.get(model).copied().unwrap_or((1.0, false));
             while lane.slots.front().is_some_and(|s| s.est_start <= horizon) {
                 let slot = lane.slots[0];
-                let plan = &runtime.plans()[slot.model];
                 let seed_offset = replay_seed_offset(seed, slot.gid);
+                let mut replay = || {
+                    replays.recall_or((slot.model, seed_offset), || {
+                        runtime.plans()[slot.model].execute_with_session(&mut lane.sim, seed_offset)
+                    })
+                };
                 let (exec, drift) = match lane.backend {
                     BackendKind::CycleAccurate => {
-                        let exec = plan.execute_with_session(&mut lane.sim, seed_offset);
+                        let exec = replay();
                         // Audit chips replay everything cycle-accurately
                         // anyway; when the loop is on, each replay doubles as
                         // a free drift sample against the (adjusted)
@@ -1361,7 +1448,7 @@ impl<'rt> ServeSession<'rt> {
                             // The model lost its analytical trust: serve it
                             // cycle-accurately while the drift sample keeps
                             // feeding the promotion streak.
-                            let accurate = plan.execute_with_session(&mut lane.sim, seed_offset);
+                            let accurate = replay();
                             let drift = DriftSample {
                                 predicted: slot.health.scale_cycles(predicted_cycles),
                                 accurate: slot.health.scale_cycles(accurate.cycles),
@@ -1374,8 +1461,7 @@ impl<'rt> ServeSession<'rt> {
                                 ..base
                             };
                             let drift = slot.verify.then(|| {
-                                let accurate =
-                                    plan.execute_with_session(&mut lane.sim, seed_offset);
+                                let accurate = replay();
                                 DriftSample {
                                     predicted: slot.health.scale_cycles(predicted_cycles),
                                     accurate: slot.health.scale_cycles(accurate.cycles),
@@ -1550,4 +1636,41 @@ pub(crate) fn verify_sampled(seed: u64, group_idx: usize, verify_every: usize) -
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     x.is_multiple_of(verify_every as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn execution(cycles: u64) -> PlanExecution {
+        PlanExecution {
+            cycles,
+            failures: 0,
+            useful_macro_cycles: cycles,
+            overhead_fraction: 0.0,
+            avg_macro_power_mw: 1.0,
+            effective_tops: 1.0,
+            worst_irdrop_mv: 1.0,
+            mean_irdrop_mv: 1.0,
+        }
+    }
+
+    #[test]
+    fn a_full_replay_memo_starts_over_instead_of_growing() {
+        let memo = ReplayMemo::default();
+        for offset in 0..REPLAY_MEMO_CAP as u64 {
+            assert_eq!(
+                memo.recall_or((0, offset), || execution(offset)),
+                execution(offset)
+            );
+        }
+        assert_eq!(memo.len(), REPLAY_MEMO_CAP);
+        let recalled = memo.recall_or((0, 7), || unreachable!("a held key is recalled"));
+        assert_eq!(recalled, execution(7));
+        // One more distinct key finds the memo full and starts it over.
+        assert_eq!(memo.recall_or((1, 7), || execution(70)), execution(70));
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.recall_or((0, 7), || execution(7)), execution(7));
+        assert_eq!(memo.misses(), REPLAY_MEMO_CAP as u64 + 2);
+    }
 }

@@ -7,7 +7,9 @@
 //!   granularity (including steps landing exactly on fault times), to shard
 //!   polling order, and to the worker-thread fan-out;
 //! * **degenerate-fleet equivalence** — a 1-shard fleet with no faults and
-//!   no scaling reports byte-identically to a plain `ServeSession`;
+//!   no scaling reports byte-identically to a plain `ServeSession`, and each
+//!   shard of a 3-shard one streams exactly a plain session's outcomes
+//!   despite the replay memo its shards share;
 //! * targeted behaviour pins: failover requeues exactly the not-yet-started
 //!   groups, degradation stretches service time consistently, elastic
 //!   scaling reacts to backlog pressure with hysteresis.
@@ -354,36 +356,79 @@ fn report_bytes_are_invariant_to_stepping_granularity_and_polling_order() {
     );
 }
 
+/// Without faults or scaling, every shard of a round-robin fleet behaves
+/// exactly like a plain session fed the same requests under the same ids:
+/// the same streamed outcomes, and shard accumulators that merge into the
+/// fleet's report.  With more than one shard the shards share the fleet's
+/// replay memo, so this also pins that no shard ever recalls a replay that
+/// differs from the one it would have computed itself.  Cycle-accurate
+/// chips run every group through the memo, so that backend always runs.
 #[test]
 fn one_shard_fleet_without_faults_equals_a_plain_session_byte_for_byte() {
-    let serve = ServeConfig {
-        chips: 3,
-        backend: matrix_backend(),
-        ..ServeConfig::default()
-    };
-    let runtime = ServeRuntime::from_plans(plans().clone(), serve);
-    let trace = trace_for(32, 0x1F1EE);
+    let trace = trace_for(48, 0x1F1EE);
+    let mut backends = vec![BackendKind::CycleAccurate];
+    if matrix_backend() != BackendKind::CycleAccurate {
+        backends.push(matrix_backend());
+    }
+    for backend in backends {
+        // Short windows and small batches interleave the two models
+        // differently on each shard, so shards reuse group indices (and
+        // seed offsets) across models.
+        let serve = ServeConfig {
+            chips: 3,
+            max_batch: 2,
+            batch_window_cycles: 2_000,
+            backend,
+            ..ServeConfig::default()
+        };
+        let runtime = ServeRuntime::from_plans(plans().clone(), serve);
+        for shards in [1usize, 3] {
+            let config = FleetConfig {
+                shards,
+                shard_policy: ShardPolicy::RoundRobin,
+                initial_workers: 0,
+                scaling: None,
+            };
+            let mut fleet = FleetSession::new(&runtime, config, FaultPlan::none());
+            for request in &trace {
+                fleet.submit(*request);
+            }
+            let report = fleet.drain();
+            let streamed = fleet.poll_completions();
 
-    let plain = runtime.serve(&trace);
-    let fleet = FleetSession::serve_trace(
-        &runtime,
-        FleetConfig {
-            shards: 1,
-            shard_policy: ShardPolicy::RoundRobin,
-            initial_workers: 0,
-            scaling: None,
-        },
-        FaultPlan::none(),
-        &trace,
-    );
-    assert_eq!(fleet.serve, plain);
-    assert_eq!(
-        serde_json::to_string(&fleet.serve).unwrap(),
-        serde_json::to_string(&plain).unwrap()
-    );
-    assert_eq!(fleet.availability.requests_failed_over, 0);
-    assert_eq!(fleet.availability.chip_cycles_lost, 0);
-    assert_eq!(fleet.availability.faults_injected, 0);
+            let mut merged: Option<ReportAccumulator> = None;
+            for shard in 0..shards {
+                let mut plain = runtime.session();
+                for (index, request) in trace.iter().enumerate().skip(shard).step_by(shards) {
+                    plain.submit_with_id(index, *request);
+                }
+                let acc = plain.drain_accumulator();
+                let shard_outcomes: Vec<RequestOutcome> = streamed
+                    .iter()
+                    .filter(|o| o.shard == shard)
+                    .map(|o| o.outcome)
+                    .collect();
+                assert_eq!(
+                    shard_outcomes,
+                    plain.poll_completions(),
+                    "{backend:?}: shard {shard} of {shards} diverged from a plain session"
+                );
+                match &mut merged {
+                    None => merged = Some(acc),
+                    Some(m) => m.merge(acc),
+                }
+            }
+            let expected = merged.expect("at least one shard").finish();
+            assert_eq!(
+                serde_json::to_string(&report.serve).unwrap(),
+                serde_json::to_string(&expected).unwrap(),
+                "{backend:?}: {shards}-shard fleet report"
+            );
+            assert_eq!(report.availability.requests_failed_over, 0);
+            assert_eq!(report.availability.chip_cycles_lost, 0);
+            assert_eq!(report.availability.faults_injected, 0);
+        }
+    }
 }
 
 #[test]

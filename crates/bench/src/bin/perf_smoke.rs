@@ -3,11 +3,14 @@
 //! labelled record to `BENCH_chip_sim.json` at the repository root so the
 //! performance trajectory is tracked PR over PR.
 //!
-//! Usage: `cargo run --release -p aim-bench --bin perf_smoke [-- --label <name>]`
+//! Usage: `cargo run --release -p aim-bench --bin perf_smoke [-- --label <name>]
+//! [--bench-out <path>]`; `--bench-out` names the file the record is appended
+//! to (default: `BENCH_chip_sim.json` at the root of the checkout the binary
+//! was built in).
 
 use std::time::Instant;
 
-use aim_bench::{append_bench_record, quick_pipeline};
+use aim_bench::{append_bench_record, bench_out_arg, quick_pipeline};
 use aim_core::booster::{BoosterConfig, IrBoosterController};
 use aim_core::pipeline::{run_model, AimConfig};
 use ir_model::process::ProcessParams;
@@ -67,13 +70,12 @@ fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
 }
 
 fn main() {
-    let label = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--label")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| "run".to_string())
-    };
+    let args: Vec<String> = std::env::args().collect();
+    let label = args
+        .iter()
+        .position(|a| a == "--label")
+        .and_then(|i| args.get(i + 1).cloned())
+        .unwrap_or_else(|| "run".to_string());
 
     let sim = ChipSimulator::new(
         ChipConfig {
@@ -166,5 +168,5 @@ fn main() {
         record.construct_speedup
     );
 
-    append_bench_record(&record);
+    append_bench_record(&bench_out_arg(&args), &record);
 }

@@ -7,7 +7,11 @@
 //! `cargo run --release -p aim-bench --bin serve_smoke [-- --label <name>]
 //!  [--backend cycle-accurate|analytical]
 //!  [--mode offline|online|fleet|dag|global|hyperscale] [--check-regression]
-//!  [--requests <n>]`
+//!  [--requests <n>] [--bench-out <path>]`
+//!
+//! `--bench-out` names the trajectory file the regression baseline is read
+//! from and the record is appended to (default: `BENCH_chip_sim.json` at
+//! the root of the checkout the binary was built in).
 //!
 //! With `--mode hyperscale` the benchmark streams a **million-request**
 //! diurnal-wave trace (`--requests` overrides the count) straight off the
@@ -82,10 +86,11 @@
 //! Wall-clock figures are recorded alongside but never gated across
 //! machines.
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use aim_bench::{append_bench_record, bench_json_path, last_bench_value, last_matching_value};
+use aim_bench::{append_bench_record, bench_out_arg, last_bench_value, last_matching_value};
 use aim_core::pipeline::{AimConfig, CompiledPlan};
 use aim_serve::scheduler::form_groups;
 use aim_serve::{
@@ -391,12 +396,17 @@ fn run_online_session(runtime: &ServeRuntime, trace: &[TraceRequest]) -> (ServeR
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_online(label: &str, backend: BackendKind, check_regression: bool) -> ExitCode {
+fn run_online(
+    label: &str,
+    backend: BackendKind,
+    check_regression: bool,
+    bench_out: &Path,
+) -> ExitCode {
     let gate_field = match backend {
         BackendKind::CycleAccurate => "serve_online_virtual_rps",
         BackendKind::Analytical => "serve_online_ana_virtual_rps",
     };
-    let previous_rps = last_bench_value(gate_field);
+    let previous_rps = last_bench_value(bench_out, gate_field);
 
     let plans = compile_zoo();
     let serve_models = plans.len();
@@ -510,7 +520,7 @@ fn run_online(label: &str, backend: BackendKind, check_regression: bool) -> Exit
         record.serve_online_rejected
     );
 
-    append_bench_record(&record);
+    append_bench_record(bench_out, &record);
 
     if !record.serve_online_deterministic {
         eprintln!("error: online session replays diverged from each other or from serve() — determinism contract broken");
@@ -598,12 +608,17 @@ fn fleet_trace(models: usize) -> Vec<TraceRequest> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_fleet(label: &str, backend: BackendKind, check_regression: bool) -> ExitCode {
+fn run_fleet(
+    label: &str,
+    backend: BackendKind,
+    check_regression: bool,
+    bench_out: &Path,
+) -> ExitCode {
     let gate_field = match backend {
         BackendKind::CycleAccurate => "serve_fleet_virtual_rps",
         BackendKind::Analytical => "serve_fleet_ana_virtual_rps",
     };
-    let previous_rps = last_bench_value(gate_field);
+    let previous_rps = last_bench_value(bench_out, gate_field);
 
     let plans = compile_zoo();
     let serve_models = plans.len();
@@ -812,7 +827,7 @@ fn run_fleet(label: &str, backend: BackendKind, check_regression: bool) -> ExitC
         );
     }
 
-    append_bench_record(&record);
+    append_bench_record(bench_out, &record);
 
     if !record.serve_fleet_conserved {
         eprintln!("error: chaos lost or duplicated requests — conservation contract broken");
@@ -1030,12 +1045,17 @@ fn dag_tail_p99_us(items: &[workloads::dag::SessionItem], outcomes: &[StageOutco
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_dag(label: &str, backend: BackendKind, check_regression: bool) -> ExitCode {
+fn run_dag(
+    label: &str,
+    backend: BackendKind,
+    check_regression: bool,
+    bench_out: &Path,
+) -> ExitCode {
     let gate_field = match backend {
         BackendKind::CycleAccurate => "serve_dag_virtual_rps",
         BackendKind::Analytical => "serve_dag_ana_virtual_rps",
     };
-    let previous_rps = last_bench_value(gate_field);
+    let previous_rps = last_bench_value(bench_out, gate_field);
 
     let plans = compile_zoo();
     let serve_models = plans.len();
@@ -1155,7 +1175,7 @@ fn run_dag(label: &str, backend: BackendKind, check_regression: bool) -> ExitCod
         record.serve_dag_conserved, record.serve_dag_deterministic
     );
 
-    append_bench_record(&record);
+    append_bench_record(bench_out, &record);
 
     if !record.serve_dag_conserved {
         eprintln!("error: a DAG stage was lost or double-resolved — conservation contract broken");
@@ -1267,12 +1287,17 @@ fn global_config() -> GlobalConfig {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_global(label: &str, backend: BackendKind, check_regression: bool) -> ExitCode {
+fn run_global(
+    label: &str,
+    backend: BackendKind,
+    check_regression: bool,
+    bench_out: &Path,
+) -> ExitCode {
     let gate_field = match backend {
         BackendKind::CycleAccurate => "serve_global_virtual_rps",
         BackendKind::Analytical => "serve_global_ana_virtual_rps",
     };
-    let previous_rps = last_bench_value(gate_field);
+    let previous_rps = last_bench_value(bench_out, gate_field);
 
     // Two heterogeneous regions over the same four-model zoo: the low-power
     // silicon serves the baseline, the sprint silicon absorbs the failover.
@@ -1406,7 +1431,7 @@ fn run_global(label: &str, backend: BackendKind, check_regression: bool) -> Exit
         record.serve_global_conserved, record.serve_global_deterministic
     );
 
-    append_bench_record(&record);
+    append_bench_record(bench_out, &record);
 
     if !record.serve_global_conserved {
         eprintln!("error: region loss lost or duplicated requests — conservation contract broken");
@@ -1605,11 +1630,16 @@ fn peak_rss_mib() -> Option<f64> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_hyperscale(label: &str, requests: usize, check_regression: bool) -> ExitCode {
+fn run_hyperscale(
+    label: &str,
+    requests: usize,
+    check_regression: bool,
+    bench_out: &Path,
+) -> ExitCode {
     let gate_field = "serve_hyper_virtual_rps";
     // Virtual throughput depends on the trace length, so only an earlier
     // run of the same request count is a baseline.
-    let previous_rps = std::fs::read_to_string(bench_json_path())
+    let previous_rps = std::fs::read_to_string(bench_out)
         .ok()
         .and_then(|trajectory| {
             last_matching_value(
@@ -1747,7 +1777,7 @@ fn run_hyperscale(label: &str, requests: usize, check_regression: bool) -> ExitC
         record.serve_hyper_conserved, record.serve_hyper_deterministic
     );
 
-    append_bench_record(&record);
+    append_bench_record(bench_out, &record);
 
     if !record.serve_hyper_conserved {
         eprintln!(
@@ -1815,6 +1845,7 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "run".to_string());
     let check_regression = args.iter().any(|a| a == "--check-regression");
+    let bench_out = bench_out_arg(&args);
     let backend = match args
         .iter()
         .position(|a| a == "--backend")
@@ -1833,10 +1864,10 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1).map(String::as_str))
     {
         None | Some("offline") => {}
-        Some("online") => return run_online(&label, backend, check_regression),
-        Some("fleet") => return run_fleet(&label, backend, check_regression),
-        Some("dag") => return run_dag(&label, backend, check_regression),
-        Some("global") => return run_global(&label, backend, check_regression),
+        Some("online") => return run_online(&label, backend, check_regression, &bench_out),
+        Some("fleet") => return run_fleet(&label, backend, check_regression, &bench_out),
+        Some("dag") => return run_dag(&label, backend, check_regression, &bench_out),
+        Some("global") => return run_global(&label, backend, check_regression, &bench_out),
         Some("hyperscale") => {
             let requests = args
                 .iter()
@@ -1844,7 +1875,7 @@ fn main() -> ExitCode {
                 .and_then(|i| args.get(i + 1))
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(HYPER_REQUESTS);
-            return run_hyperscale(&label, requests, check_regression);
+            return run_hyperscale(&label, requests, check_regression, &bench_out);
         }
         Some(other) => {
             eprintln!(
@@ -1858,8 +1889,8 @@ fn main() -> ExitCode {
     // the simulated fleet, byte-identical across hosts — so a slower CI
     // runner cannot trip it and a faster one cannot mask a real scheduling
     // regression.
-    let previous_rps = last_bench_value("serve_virtual_rps");
-    let previous_ana_rps = last_bench_value("serve_ana_virtual_rps");
+    let previous_rps = last_bench_value(&bench_out, "serve_virtual_rps");
+    let previous_ana_rps = last_bench_value(&bench_out, "serve_ana_virtual_rps");
 
     let compile_start = Instant::now();
     let plans = compile_zoo();
@@ -1925,7 +1956,7 @@ fn main() -> ExitCode {
     );
     println!("  deterministic      : {}", record.serve_deterministic);
 
-    append_bench_record(&record);
+    append_bench_record(&bench_out, &record);
 
     if !record.serve_deterministic {
         eprintln!("error: repeated replays diverged — determinism contract broken");
@@ -2028,7 +2059,7 @@ fn main() -> ExitCode {
     );
     println!("  deterministic      : {ana_deterministic}");
 
-    append_bench_record(&ana_record);
+    append_bench_record(&bench_out, &ana_record);
 
     if !ana_deterministic {
         eprintln!("error: analytical replays diverged — determinism contract broken");

@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use aim_core::pipeline::AimConfig;
 use serde::Serialize;
@@ -42,8 +42,9 @@ pub fn dump_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Path of the repo-root benchmark-trajectory file shared by the smoke
-/// benchmarks (`perf_smoke`, `serve_smoke`).
+/// Default path of the benchmark-trajectory file shared by the smoke
+/// benchmarks (`perf_smoke`, `serve_smoke`): `BENCH_chip_sim.json` at the
+/// root of the checkout the binary was *built* in.
 #[must_use]
 pub fn bench_json_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -52,12 +53,23 @@ pub fn bench_json_path() -> PathBuf {
         .join("BENCH_chip_sim.json")
 }
 
-/// Appends a labelled record to `BENCH_chip_sim.json`, preserving earlier
-/// records by splicing into the writer-produced `"records": [...]` array
-/// (the JSON shim has no parser, and the file format is owned by the smoke
-/// binaries).  Failures are reported on stderr but never abort a benchmark.
-pub fn append_bench_record<T: Serialize>(record: &T) {
-    let path = bench_json_path();
+/// The trajectory file a smoke binary reads its regression baseline from
+/// and appends its record to: the path after `--bench-out` in `args`, or
+/// [`bench_json_path`] without one.
+#[must_use]
+pub fn bench_out_arg(args: &[String]) -> PathBuf {
+    args.iter()
+        .position(|a| a == "--bench-out")
+        .and_then(|i| args.get(i + 1))
+        .map_or_else(bench_json_path, PathBuf::from)
+}
+
+/// Appends a labelled record to the trajectory file at `path`, preserving
+/// earlier records by splicing into the writer-produced `"records": [...]`
+/// array (the JSON shim has no parser, and the file format is owned by the
+/// smoke binaries).  Failures are reported on stderr but never abort a
+/// benchmark.
+pub fn append_bench_record<T: Serialize>(path: &Path, record: &T) {
     let new_json = match serde_json::to_string_pretty(record) {
         Ok(json) => json,
         Err(e) => {
@@ -78,7 +90,7 @@ pub fn append_bench_record<T: Serialize>(record: &T) {
             record.trim_start()
         )
     };
-    let body = match fs::read_to_string(&path) {
+    let body = match fs::read_to_string(path) {
         Ok(existing) => {
             if let Some(end) = existing.rfind("\n  ]") {
                 let (head, tail) = existing.split_at(end);
@@ -89,18 +101,18 @@ pub fn append_bench_record<T: Serialize>(record: &T) {
         }
         Err(_) => fresh_file(&indented),
     };
-    match fs::write(&path, body) {
+    match fs::write(path, body) {
         Ok(()) => println!("  -> {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
-/// Last recorded numeric value of `"field": <number>` in
-/// `BENCH_chip_sim.json`, scanned textually (the JSON shim has no parser).
-/// Used by smoke binaries to compare a fresh run against the trajectory.
+/// Last recorded numeric value of `"field": <number>` in the trajectory
+/// file at `path`, scanned textually (the JSON shim has no parser).  Used
+/// by smoke binaries to compare a fresh run against the trajectory.
 #[must_use]
-pub fn last_bench_value(field: &str) -> Option<f64> {
-    last_field_value(&fs::read_to_string(bench_json_path()).ok()?, field)
+pub fn last_bench_value(path: &Path, field: &str) -> Option<f64> {
+    last_field_value(&fs::read_to_string(path).ok()?, field)
 }
 
 /// Last numeric value of `"field": <number>` anywhere in `text`.
@@ -226,9 +238,60 @@ mod tests {
     #[test]
     fn last_bench_value_scans_the_committed_trajectory() {
         // The committed trajectory always carries at least the seed records.
-        let v = last_bench_value("chip_sim_static_ms");
+        let path = bench_json_path();
+        let v = last_bench_value(&path, "chip_sim_static_ms");
         assert!(v.is_some_and(|v| v > 0.0));
-        assert_eq!(last_bench_value("no_such_field"), None);
+        assert_eq!(last_bench_value(&path, "no_such_field"), None);
+    }
+
+    #[derive(Serialize)]
+    struct Record {
+        label: &'static str,
+        requests: u64,
+        rps: f64,
+    }
+
+    #[test]
+    fn two_records_round_trip_through_a_chosen_trajectory_file() {
+        let path =
+            std::env::temp_dir().join(format!("aim_bench_round_trip_{}.json", std::process::id()));
+        let _ = fs::remove_file(&path);
+        assert_eq!(last_bench_value(&path, "rps"), None);
+        append_bench_record(
+            &path,
+            &Record {
+                label: "first",
+                requests: 1000,
+                rps: 1.5,
+            },
+        );
+        append_bench_record(
+            &path,
+            &Record {
+                label: "second",
+                requests: 2000,
+                rps: 2.5,
+            },
+        );
+        let last = last_bench_value(&path, "rps");
+        let text = fs::read_to_string(&path).expect("the records were written");
+        let _ = fs::remove_file(&path);
+        assert_eq!(last, Some(2.5));
+        assert_eq!(bench_records(&text).len(), 2);
+        assert_eq!(
+            last_matching_value(&text, "rps", "requests", 1000.0),
+            Some(1.5)
+        );
+    }
+
+    #[test]
+    fn bench_out_overrides_the_default_trajectory_path() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(bench_out_arg(&args(&["smoke"])), bench_json_path());
+        assert_eq!(
+            bench_out_arg(&args(&["smoke", "--bench-out", "elsewhere.json"])),
+            PathBuf::from("elsewhere.json")
+        );
     }
 
     #[test]
