@@ -109,6 +109,25 @@ impl ServeConfig {
             config: Self::default(),
         }
     }
+
+    /// Checks the invariants every serving runtime relies on: the one copy
+    /// of the checks the builder and [`ServeRuntime::from_plans`] run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate configuration: zero chips, zero `max_batch`,
+    /// more audit chips than chips, or an invalid calibration loop.
+    pub(crate) fn validate(&self) {
+        assert!(self.chips >= 1, "a fleet needs at least one chip");
+        assert!(self.max_batch >= 1, "max_batch must be at least 1");
+        assert!(
+            self.audit_chips <= self.chips,
+            "audit chips cannot exceed the fleet size"
+        );
+        if let Some(calibration) = &self.calibration {
+            calibration.validate();
+        }
+    }
 }
 
 /// Chainable builder for [`ServeConfig`]:
@@ -182,20 +201,12 @@ impl ServeConfigBuilder {
     /// # Panics
     ///
     /// Panics on degenerate configurations (zero chips, zero `max_batch`,
-    /// more audit chips than chips) — the same invariants
-    /// [`ServeRuntime::from_plans`] enforces, failing at the construction
-    /// site instead.
+    /// more audit chips than chips, an invalid calibration loop) — the same
+    /// invariants [`ServeRuntime::from_plans`] enforces, failing at the
+    /// construction site instead.
     #[must_use]
     pub fn build(self) -> ServeConfig {
-        assert!(self.config.chips >= 1, "a fleet needs at least one chip");
-        assert!(self.config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(
-            self.config.audit_chips <= self.config.chips,
-            "audit chips cannot exceed the fleet size"
-        );
-        if let Some(calibration) = &self.config.calibration {
-            calibration.validate();
-        }
+        self.config.validate();
         self.config
     }
 }
@@ -235,15 +246,7 @@ impl ServeRuntime {
     #[must_use]
     pub fn from_plans(plans: Vec<CompiledPlan>, config: ServeConfig) -> Self {
         assert!(!plans.is_empty(), "a runtime needs at least one plan");
-        assert!(config.chips >= 1, "a fleet needs at least one chip");
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(
-            config.audit_chips <= config.chips,
-            "audit chips cannot exceed the fleet size"
-        );
-        if let Some(calibration) = &config.calibration {
-            calibration.validate();
-        }
+        config.validate();
         // Calibrate the analytical views once, up front (a handful of
         // cycle-accurate probe runs per plan); afterwards every analytical
         // replay is a cached lookup.
@@ -282,16 +285,6 @@ impl ServeRuntime {
     #[must_use]
     pub fn analytical_plans(&self) -> Option<&[AnalyticalPlan]> {
         self.analytical.as_deref()
-    }
-
-    /// Changes the sampled-verification cadence in place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure the cadence up front: `ServeConfig::builder().verify_every(n)` \
-                (the cadence never re-runs calibration, so rebuilding the config is free)"
-    )]
-    pub fn set_verify_every(&mut self, verify_every: usize) {
-        self.config.verify_every = verify_every;
     }
 
     /// Deliberately mis-calibrates `model`'s analytical view by scaling its

@@ -1,8 +1,10 @@
-//! Deterministic scheduling primitives: dynamic batching, dispatch with
-//! admission control, and virtual-time timeline reconstruction.
+//! Deterministic scheduling primitives shared by the serving layers: the
+//! dispatch and per-class admission policies, the pre-execution cost model
+//! and its one service-time formula, the DAG deadline split, and the
+//! offline `form_groups` batching baseline.
 //!
-//! All three stages are pure functions of their inputs — no wall clock, no
-//! thread state — which is what lets the runtime fan execution out across
+//! Everything here is a pure function of its inputs — no wall clock, no
+//! thread state — which is what lets the session fan execution out across
 //! worker threads while keeping the final report byte-identical to a
 //! single-worker run.
 
@@ -129,11 +131,12 @@ pub fn form_groups(
 }
 
 /// Service time of one group on one chip: the single switching-cost formula
-/// shared by admission/dispatch (with *estimated* execution cycles) and the
-/// post-execution [`timeline`] (with *measured* ones).  A group of `b`
-/// requests streams them back to back through macros already loaded with the
-/// model's weights, so it costs one reload (if the chip switches model) plus
-/// `b × exec` — batching amortises exactly the reload term.
+/// shared by the session's estimated schedule (admission and priority
+/// insertion, with *estimated* execution cycles) and its measured timeline
+/// (with *measured* ones).  A group of `b` requests streams them back to
+/// back through macros already loaded with the model's weights, so it costs
+/// one reload (if the chip switches model) plus `b × exec` — batching
+/// amortises exactly the reload term.
 #[must_use]
 pub fn group_service_cycles(
     batch_size: usize,
@@ -158,86 +161,6 @@ pub struct CostModel {
     pub exec_cycles: Vec<u64>,
     /// Weight-reload cycles charged when a chip switches to the model.
     pub reload_cycles: Vec<u64>,
-}
-
-impl CostModel {
-    /// Estimated busy cycles a group costs its chip
-    /// (via [`group_service_cycles`]).
-    #[must_use]
-    pub fn group_cycles(&self, group: &RequestGroup, switching_model: bool) -> u64 {
-        group_service_cycles(
-            group.requests.len(),
-            self.exec_cycles[group.model],
-            self.reload_cycles[group.model],
-            switching_model,
-        )
-    }
-}
-
-/// Result of the dispatch pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DispatchOutcome {
-    /// Per group: the chip it runs on, or `None` if admission control
-    /// rejected it.
-    pub assignment: Vec<Option<usize>>,
-    /// Number of *requests* (not groups) rejected.
-    pub rejected_requests: usize,
-}
-
-/// Assigns each group to a chip (or rejects it), in group order.
-///
-/// The pass tracks each chip's estimated free time and last-loaded model
-/// using only the [`CostModel`]; actual execution results never feed back,
-/// so the assignment is deterministic and worker-count independent.
-///
-/// # Panics
-///
-/// Panics if `chips` is zero.
-#[must_use]
-pub fn dispatch(
-    groups: &[RequestGroup],
-    chips: usize,
-    policy: DispatchPolicy,
-    admission: Option<&AdmissionConfig>,
-    cost: &CostModel,
-) -> DispatchOutcome {
-    assert!(chips >= 1, "a fleet needs at least one chip");
-    let mut est_free = vec![0u64; chips];
-    let mut last_model: Vec<Option<usize>> = vec![None; chips];
-    let mut next_round_robin = 0usize;
-    let mut assignment = Vec::with_capacity(groups.len());
-    let mut rejected_requests = 0usize;
-
-    for group in groups {
-        let chip = match policy {
-            DispatchPolicy::RoundRobin => {
-                let c = next_round_robin % chips;
-                next_round_robin += 1;
-                c
-            }
-            DispatchPolicy::LeastLoaded => (0..chips)
-                .min_by_key(|&c| (est_free[c].max(group.ready_cycles), c))
-                .expect("chips >= 1"),
-        };
-        if let Some(adm) = admission {
-            let backlog = est_free[chip].saturating_sub(group.ready_cycles);
-            if backlog > adm.cap_for(group.class) {
-                assignment.push(None);
-                rejected_requests += group.requests.len();
-                continue;
-            }
-        }
-        let switching = last_model[chip] != Some(group.model);
-        let duration = cost.group_cycles(group, switching);
-        let start = est_free[chip].max(group.ready_cycles);
-        est_free[chip] = start + duration;
-        last_model[chip] = Some(group.model);
-        assignment.push(Some(chip));
-    }
-    DispatchOutcome {
-        assignment,
-        rejected_requests,
-    }
 }
 
 /// Splits a whole-DAG deadline into per-stage deadlines, proportionally to
@@ -297,62 +220,6 @@ pub fn split_dag_deadline(
             }
         })
         .collect()
-}
-
-/// Virtual-time schedule entry for one executed group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupTiming {
-    /// Group index.
-    pub group: usize,
-    /// Chip the group ran on.
-    pub chip: usize,
-    /// Cycle the chip began the group (reload included).
-    pub start_cycles: u64,
-    /// Cycle the group's last request completed.
-    pub finish_cycles: u64,
-}
-
-/// Reconstructs each executed group's start/finish once the actual per-group
-/// execution cycles are known, replaying each chip's queue in dispatch order.
-///
-/// `group_exec_cycles[g]` is the measured cycles of one request replay of
-/// group `g`; a group of `b` requests streams them back to back, so its
-/// service time is `reload + b × exec` — batching amortises exactly the
-/// reload term.
-#[must_use]
-pub fn timeline(
-    groups: &[RequestGroup],
-    assignment: &[Option<usize>],
-    chips: usize,
-    group_exec_cycles: &[u64],
-    reload_cycles_per_model: &[u64],
-) -> Vec<GroupTiming> {
-    let mut free = vec![0u64; chips];
-    let mut last_model: Vec<Option<usize>> = vec![None; chips];
-    let mut out = Vec::new();
-    for (gi, group) in groups.iter().enumerate() {
-        let Some(chip) = assignment[gi] else {
-            continue;
-        };
-        let switching = last_model[chip] != Some(group.model);
-        let duration = group_service_cycles(
-            group.requests.len(),
-            group_exec_cycles[gi],
-            reload_cycles_per_model[group.model],
-            switching,
-        );
-        let start = free[chip].max(group.ready_cycles);
-        let finish = start + duration;
-        free[chip] = finish;
-        last_model[chip] = Some(group.model);
-        out.push(GroupTiming {
-            group: gi,
-            chip,
-            start_cycles: start,
-            finish_cycles: finish,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -419,20 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn service_cycles_formula_is_shared_by_cost_model_and_timeline() {
-        // One arithmetic source: the cost model's estimate and the timeline's
-        // measured duration agree whenever estimate == measurement.
-        let trace: Vec<TraceRequest> = (0..3).map(|i| req(0, i)).collect();
-        let groups = form_groups(&trace, 8, 1_000);
-        assert_eq!(groups.len(), 1);
-        let cost = flat_cost(250, 700, 1);
-        let estimated = cost.group_cycles(&groups[0], true);
-        let timings = timeline(&groups, &[Some(0)], 1, &[250], &[700]);
-        assert_eq!(
-            timings[0].finish_cycles - timings[0].start_cycles,
-            estimated
-        );
-        assert_eq!(estimated, group_service_cycles(3, 250, 700, true));
+    fn service_cycles_charge_reload_only_on_model_switch() {
+        // One arithmetic source for the estimated and the measured schedule:
+        // a model switch adds the incoming model's reload, staying on the
+        // loaded model does not.
+        assert_eq!(group_service_cycles(1, 100, 400, true), 500);
+        assert_eq!(group_service_cycles(1, 100, 900, false), 100);
+        assert_eq!(group_service_cycles(3, 250, 700, true), 1_450);
         assert_eq!(group_service_cycles(3, 250, 700, false), 750);
     }
 
@@ -446,84 +306,24 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_through_chips() {
-        let trace = vec![req(0, 0), req(1, 1), req(0, 2), req(1, 3)];
-        let groups = form_groups(&trace, 1, 0);
-        let out = dispatch(
-            &groups,
-            3,
-            DispatchPolicy::RoundRobin,
-            None,
-            &flat_cost(100, 0, 2),
-        );
-        let chips: Vec<usize> = out.assignment.iter().map(|a| a.unwrap()).collect();
-        assert_eq!(chips, [0, 1, 2, 0]);
-        assert_eq!(out.rejected_requests, 0);
-    }
-
-    #[test]
-    fn least_loaded_prefers_the_idle_chip() {
-        // Three heavy groups arriving together on 2 chips: the third must go
-        // to whichever chip frees first; with equal costs that is chip 0
-        // (lowest id tie-break loses to earliest free time only).
-        let trace = vec![req(0, 0), req(1, 0), req(0, 0)];
-        let groups = form_groups(&trace, 1, 0);
-        let out = dispatch(
-            &groups,
-            2,
-            DispatchPolicy::LeastLoaded,
-            None,
-            &flat_cost(500, 100, 2),
-        );
-        let chips: Vec<usize> = out.assignment.iter().map(|a| a.unwrap()).collect();
-        assert_eq!(chips, [0, 1, 0]);
-    }
-
-    #[test]
-    fn admission_control_rejects_deep_backlogs() {
-        // One chip, instantaneous arrivals, each group costs 1000 cycles:
-        // backlog grows by 1000 per group, so with a 2500-cycle cap the 4th
-        // group (backlog 3000) is rejected.
-        let trace: Vec<TraceRequest> = (0..5).map(|i| req(i % 2, 0)).collect();
-        let groups = form_groups(&trace, 1, 0);
-        let out = dispatch(
-            &groups,
-            1,
-            DispatchPolicy::LeastLoaded,
-            Some(&AdmissionConfig::uniform(2_500)),
-            &flat_cost(1_000, 0, 2),
-        );
-        assert_eq!(out.assignment[0], Some(0));
-        assert_eq!(out.assignment[3], None);
-        assert_eq!(out.assignment[4], None);
-        assert_eq!(out.rejected_requests, 2);
-    }
-
-    #[test]
     fn admission_caps_apply_per_slo_class() {
-        // Same backlog, different fates: best-effort is shed at a tight cap
-        // while a standard group with identical timing is admitted.
-        let mut trace: Vec<TraceRequest> = (0..4).map(|_| req(0, 0)).collect();
-        trace[3].slo = SloClass::BestEffort;
-        let groups = form_groups(&trace, 1, 0);
+        // Each class reads its own cap; `uniform` gives every class one cap.
         let admission = AdmissionConfig {
             max_backlog_cycles: 10_000,
             latency_sensitive_backlog_cycles: 500,
             best_effort_backlog_cycles: 1_500,
         };
-        let out = dispatch(
-            &groups,
-            1,
-            DispatchPolicy::LeastLoaded,
-            Some(&admission),
-            &flat_cost(1_000, 0, 1),
+        let caps = [
+            SloClass::LatencySensitive,
+            SloClass::Standard,
+            SloClass::BestEffort,
+        ]
+        .map(|class| admission.cap_for(class));
+        assert_eq!(caps, [500, 10_000, 1_500]);
+        assert_eq!(
+            AdmissionConfig::uniform(2_500).cap_for(SloClass::BestEffort),
+            2_500
         );
-        // Groups cost 1000 cycles each; the 4th sees a 3000-cycle backlog —
-        // over its 1500-cycle best-effort cap, under the standard cap the
-        // 3rd (backlog 2000, standard) was admitted with.
-        assert_eq!(out.assignment[2], Some(0));
-        assert_eq!(out.assignment[3], None);
-        assert_eq!(out.rejected_requests, 1);
     }
 
     #[test]
@@ -537,54 +337,15 @@ mod tests {
     }
 
     #[test]
-    fn timeline_charges_reload_only_on_model_switch() {
-        let trace = vec![req(0, 0), req(0, 5_000), req(1, 5_100)];
-        let groups = form_groups(&trace, 1, 0);
-        let assignment = vec![Some(0), Some(0), Some(0)];
-        let timings = timeline(&groups, &assignment, 1, &[100, 100, 100], &[400, 900]);
-        // Group 0: reload 400 + 100 exec, starts at 0.
-        assert_eq!(timings[0].start_cycles, 0);
-        assert_eq!(timings[0].finish_cycles, 500);
-        // Group 1: same model, no reload; chip idle until arrival.
-        assert_eq!(timings[1].start_cycles, 5_000);
-        assert_eq!(timings[1].finish_cycles, 5_100);
-        // Group 2: model switch -> 900-cycle reload.
-        assert_eq!(timings[2].start_cycles, 5_100);
-        assert_eq!(timings[2].finish_cycles, 5_100 + 900 + 100);
-    }
-
-    #[test]
     fn batched_groups_amortise_the_reload() {
-        // 4 requests in one group: one reload, 4 executions.
+        // 4 requests in one group: one reload, 4 executions — where four
+        // lone requests, each after a model switch, pay four reloads.
         let trace: Vec<TraceRequest> = (0..4).map(|i| req(0, i)).collect();
         let groups = form_groups(&trace, 8, 1_000);
         assert_eq!(groups.len(), 1);
-        let timings = timeline(&groups, &[Some(0)], 1, &[200], &[1_000]);
-        assert_eq!(
-            timings[0].finish_cycles - timings[0].start_cycles,
-            1_000 + 4 * 200
-        );
-    }
-
-    #[test]
-    fn rejected_groups_leave_no_timeline_entry() {
-        let trace = vec![req(0, 0), req(0, 0)];
-        let groups = form_groups(&trace, 1, 0);
-        let timings = timeline(&groups, &[Some(0), None], 1, &[50, 50], &[10]);
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].group, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one chip")]
-    fn zero_chip_fleet_is_rejected() {
-        let _ = dispatch(
-            &[],
-            0,
-            DispatchPolicy::RoundRobin,
-            None,
-            &flat_cost(1, 0, 1),
-        );
+        let batched = group_service_cycles(groups[0].requests.len(), 200, 1_000, true);
+        assert_eq!(batched, 1_000 + 4 * 200);
+        assert_eq!(4 * group_service_cycles(1, 200, 1_000, true), 4 * 1_200);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! offline [`form_groups`] scan, which only coalesces *consecutive*
 //! same-model requests, never batches that trace at all.
 //!
-//! A batch closes (becomes a [`RequestGroup`] and dispatches) when the first
-//! of these happens: its window expires, it reaches `max_batch`, or a
-//! [`SloClass::LatencySensitive`] request joins it — latency-sensitive
-//! arrivals close the window early and carry the whole batch with them.
+//! A batch closes (is committed as one group, which dispatches as one slot
+//! of a chip's queue) when the first of these happens: its window expires,
+//! it reaches `max_batch`, or a [`SloClass::LatencySensitive`] request joins
+//! it — latency-sensitive arrivals close the window early and carry the
+//! whole batch with them.
 //!
 //! ## Priority-aware dispatch
 //!
@@ -112,7 +113,6 @@
 //! [`set_chip_health`]: ServeSession::set_chip_health
 //! [`set_worker_count`]: ServeSession::set_worker_count
 //! [`form_groups`]: crate::scheduler::form_groups
-//! [`RequestGroup`]: crate::scheduler::RequestGroup
 //! [`AdmissionConfig::cap_for`]: crate::scheduler::AdmissionConfig::cap_for
 //! [`ServeConfig::completion_capacity`]: crate::runtime::ServeConfig::completion_capacity
 

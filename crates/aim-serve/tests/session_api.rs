@@ -10,7 +10,8 @@
 //!   incremental stepping returns byte-identical reports to the one-shot
 //!   wrapper;
 //! * `ReportAccumulator::merge` combines sharded sessions;
-//! * the `ServeConfig` builder and the deprecated `set_verify_every` shim.
+//! * `ServeConfig` validation, through the builder and through
+//!   `ServeRuntime::from_plans`.
 
 use std::sync::OnceLock;
 
@@ -412,17 +413,14 @@ fn builder_rejects_degenerate_configs_at_build_time() {
 }
 
 #[test]
-fn deprecated_verify_cadence_shim_still_works() {
-    let config = ServeConfig::builder()
-        .chips(2)
-        .backend(BackendKind::Analytical)
-        .build();
-    let mut runtime = ServeRuntime::from_plans(plans().clone(), config);
-    #[allow(deprecated)]
-    runtime.set_verify_every(1);
-    let report = runtime.serve(&interleaved_trace(8));
-    let verification = report.verification.expect("cadence was enabled");
-    assert_eq!(verification.sampled, report.groups_executed);
+#[should_panic(expected = "audit chips")]
+fn from_plans_rejects_a_struct_literal_with_more_audit_chips_than_chips() {
+    let config = ServeConfig {
+        chips: 2,
+        audit_chips: 3,
+        ..ServeConfig::default()
+    };
+    let _ = ServeRuntime::from_plans(plans().clone(), config);
 }
 
 #[test]

@@ -107,14 +107,6 @@ pub fn append_bench_record<T: Serialize>(path: &Path, record: &T) {
     }
 }
 
-/// Last recorded numeric value of `"field": <number>` in the trajectory
-/// file at `path`, scanned textually (the JSON shim has no parser).  Used
-/// by smoke binaries to compare a fresh run against the trajectory.
-#[must_use]
-pub fn last_bench_value(path: &Path, field: &str) -> Option<f64> {
-    last_field_value(&fs::read_to_string(path).ok()?, field)
-}
-
 /// Last numeric value of `"field": <number>` anywhere in `text`.
 fn last_field_value(text: &str, field: &str) -> Option<f64> {
     let needle = format!("\"{field}\":");
@@ -170,16 +162,57 @@ fn bench_records(text: &str) -> Vec<&str> {
     records
 }
 
-/// Last value of `field` among the records of trajectory `text` whose
-/// `key` field equals `key_value`: a gate compares a run only against
-/// earlier runs of the same workload, whatever ran in between.
+/// Last value of `field` among the records of trajectory `text` whose `keys`
+/// fields carry the given values: a gate compares a run only against
+/// earlier runs of the same workload, whatever ran in between.  Records
+/// where `field` is `null` or absent are skipped.
 #[must_use]
-pub fn last_matching_value(text: &str, field: &str, key: &str, key_value: f64) -> Option<f64> {
+pub fn last_matching_value(text: &str, field: &str, keys: &[(&str, f64)]) -> Option<f64> {
     bench_records(text)
         .into_iter()
         .rev()
-        .filter(|record| last_field_value(record, key) == Some(key_value))
+        .filter(|record| {
+            keys.iter()
+                .all(|&(key, value)| last_field_value(record, key) == Some(value))
+        })
         .find_map(|record| last_field_value(record, field))
+}
+
+/// The regression gate's verdict on `current`, a fresh value of the gated
+/// `field`, against trajectory `text`.  The baseline is the last record of
+/// the same workload ([`last_matching_value`] over `keys`).
+///
+/// # Errors
+///
+/// Fails when `current` dropped more than 20 % below the baseline, and when
+/// there is no baseline at all: the gate fails closed, so a renamed field or
+/// a changed workload cannot silently switch it off.  `Ok` carries the
+/// passing comparison for the printout.
+pub fn regression_verdict(
+    text: &str,
+    field: &str,
+    keys: &[(&str, f64)],
+    current: f64,
+) -> Result<String, String> {
+    let workload = keys
+        .iter()
+        .map(|(key, value)| format!("{key} {value}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let Some(previous) = last_matching_value(text, field, keys) else {
+        return Err(format!(
+            "no earlier {field} record with {workload} in the trajectory to gate against"
+        ));
+    };
+    if current < 0.8 * previous {
+        Err(format!(
+            "{field} regressed >20 %: {current:.0} req/s vs previous {previous:.0} req/s ({workload})"
+        ))
+    } else {
+        Ok(format!(
+            "{field} {current:.0} req/s >= 80 % of previous {previous:.0} req/s ({workload})"
+        ))
+    }
 }
 
 /// Prints a section header for an experiment binary.
@@ -236,12 +269,96 @@ mod tests {
     }
 
     #[test]
-    fn last_bench_value_scans_the_committed_trajectory() {
-        // The committed trajectory always carries at least the seed records.
-        let path = bench_json_path();
-        let v = last_bench_value(&path, "chip_sim_static_ms");
-        assert!(v.is_some_and(|v| v > 0.0));
-        assert_eq!(last_bench_value(&path, "no_such_field"), None);
+    fn every_ci_gate_finds_its_baseline_in_the_committed_trajectory() {
+        // Each CI leg of `serve_smoke --check-regression`: its gated field
+        // and the workload it keys its baseline on.  A leg without a
+        // baseline fails, so this pins that none of them does.
+        let offline = [("serve_requests", 192.0), ("serve_chips", 8.0)];
+        let offline_ana = [("serve_ana_requests", 192.0), ("serve_ana_chips", 8.0)];
+        let online = [
+            ("serve_online_requests", 192.0),
+            ("serve_online_chips", 8.0),
+        ];
+        let fleet = [
+            ("serve_fleet_requests", 192.0),
+            ("serve_fleet_shards", 2.0),
+            ("serve_fleet_chips_per_shard", 4.0),
+        ];
+        let dag = [("serve_dag_requests", 239.0), ("serve_dag_stages", 117.0)];
+        let global = [
+            ("serve_global_requests", 256.0),
+            ("serve_global_regions", 2.0),
+        ];
+        let hyper = [("serve_hyper_requests", 1e6), ("serve_hyper_chips", 256.0)];
+        let legs: [(&str, &[(&str, f64)]); 11] = [
+            ("serve_virtual_rps", &offline),
+            ("serve_ana_virtual_rps", &offline_ana),
+            ("serve_online_virtual_rps", &online),
+            ("serve_online_ana_virtual_rps", &online),
+            ("serve_fleet_virtual_rps", &fleet),
+            ("serve_fleet_ana_virtual_rps", &fleet),
+            ("serve_dag_virtual_rps", &dag),
+            ("serve_dag_ana_virtual_rps", &dag),
+            ("serve_global_virtual_rps", &global),
+            ("serve_global_ana_virtual_rps", &global),
+            ("serve_hyper_virtual_rps", &hyper),
+        ];
+        let text = fs::read_to_string(bench_json_path()).expect("the trajectory is committed");
+        for (field, keys) in legs {
+            assert!(
+                last_matching_value(&text, field, keys).is_some_and(|v| v > 0.0),
+                "no {field} baseline for {keys:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_regression_verdict_fails_closed_and_tolerates_a_20_percent_drop() {
+        let trajectory = r#"{
+  "benchmark": "chip_sim",
+  "records": [
+    {
+      "label": "small",
+      "serve_fleet_requests": 192,
+      "serve_fleet_shards": 2,
+      "serve_fleet_virtual_rps": 1000.0
+    },
+    {
+      "label": "large",
+      "serve_fleet_requests": 384,
+      "serve_fleet_shards": 2,
+      "serve_fleet_virtual_rps": 5000.0
+    },
+    {
+      "label": "small, other backend",
+      "serve_fleet_requests": 192,
+      "serve_fleet_shards": 2,
+      "serve_fleet_virtual_rps": null
+    }
+  ]
+}
+"#;
+        let verdict = |requests: f64, shards: f64, current: f64| {
+            regression_verdict(
+                trajectory,
+                "serve_fleet_virtual_rps",
+                &[
+                    ("serve_fleet_requests", requests),
+                    ("serve_fleet_shards", shards),
+                ],
+                current,
+            )
+        };
+        // No record of the workload: the gate fails instead of passing.
+        assert!(verdict(192.0, 4.0, 1000.0).is_err_and(|e| e.contains("no earlier")));
+        assert!(regression_verdict("", "serve_fleet_virtual_rps", &[], 1.0).is_err());
+        // More than 20 % below the same workload's baseline fails, even
+        // though the other workload's later record would be far higher.
+        assert!(verdict(192.0, 2.0, 790.0).is_err_and(|e| e.contains("regressed")));
+        assert!(verdict(384.0, 2.0, 3_900.0).is_err());
+        // Within 20 % passes.
+        assert!(verdict(192.0, 2.0, 800.0).is_ok());
+        assert!(verdict(384.0, 2.0, 4_500.0).is_ok());
     }
 
     #[derive(Serialize)]
@@ -256,7 +373,6 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("aim_bench_round_trip_{}.json", std::process::id()));
         let _ = fs::remove_file(&path);
-        assert_eq!(last_bench_value(&path, "rps"), None);
         append_bench_record(
             &path,
             &Record {
@@ -273,13 +389,12 @@ mod tests {
                 rps: 2.5,
             },
         );
-        let last = last_bench_value(&path, "rps");
         let text = fs::read_to_string(&path).expect("the records were written");
         let _ = fs::remove_file(&path);
-        assert_eq!(last, Some(2.5));
         assert_eq!(bench_records(&text).len(), 2);
+        assert_eq!(last_matching_value(&text, "rps", &[]), Some(2.5));
         assert_eq!(
-            last_matching_value(&text, "rps", "requests", 1000.0),
+            last_matching_value(&text, "rps", &[("requests", 1000.0)]),
             Some(1.5)
         );
     }
@@ -318,8 +433,7 @@ mod tests {
             last_matching_value(
                 trajectory,
                 "serve_hyper_virtual_rps",
-                "serve_hyper_requests",
-                requests,
+                &[("serve_hyper_requests", requests)],
             )
         };
         assert_eq!(rps(1e6), Some(15_959_308.869_361_965));
