@@ -9,24 +9,25 @@
 //! shrinks with per-class backlog pressure ([`ScalingConfig`]).  The final
 //! [`FleetReport`] merges the shard accumulators through
 //! [`ReportAccumulator::merge`] and layers availability metrics on top:
-//! requests failed over, chip-seconds of capacity lost, per-class SLO
-//! attainment under faults.
+//! requests failed over, chip-seconds of capacity lost (derived at drain
+//! from the health changes and deaths the shards' chips record), per-class
+//! SLO attainment under faults.
 //!
 //! ## Determinism under chaos
 //!
 //! Everything the fleet does is driven by *virtual time*, never by wall
-//! clock or call cadence.  Faults and scaling checks live in one
-//! time-ordered event stream; [`submit`] and [`run_until`] first apply every
-//! event at or before the new time, so a fault always strikes at the same
-//! point of the submission sequence no matter how the caller steps the
-//! session.  Within one virtual cycle the order is fixed: faults apply
-//! before scaling checks, both before the submission carrying that arrival
-//! time.  Scheduling stays estimate-pure (the [`ServeSession`] contract), so
-//! a fixed `(trace, FleetConfig, FaultPlan)` produces a byte-identical
-//! [`FleetReport`] across reruns, worker-thread counts, `run_until`
-//! granularities and shard polling orders — which is what lets the chaos
-//! scenario suite freeze whole fleet runs as golden files.  Two details
-//! make the promise exact:
+//! clock or call cadence.  Faults and the next scaling check sit in one
+//! ordered set keyed by `(cycle, event)`; [`submit`] and [`run_until`] first
+//! apply every event at or before the new time, so a fault always strikes at
+//! the same point of the submission sequence no matter how the caller steps
+//! the session.  The event's derived order is the same-cycle tie-break:
+//! faults in plan order, then the scaling check, both before the submission
+//! carrying that arrival time.  Scheduling stays estimate-pure (the
+//! [`ServeSession`] contract), so a fixed `(trace, FleetConfig, FaultPlan)`
+//! produces a byte-identical [`FleetReport`] across reruns, worker-thread
+//! counts, `run_until` granularities and shard polling orders — which is
+//! what lets the chaos scenario suite freeze whole fleet runs as golden
+//! files.  Two details make the promise exact:
 //!
 //! * virtual time is bounded by the fleet's **event horizon** (latest fault
 //!   time or submitted arrival): [`run_until`] clamps its target there, so
@@ -57,6 +58,7 @@
 //! [`run_until`]: FleetSession::run_until
 //! [`FaultPlan`]: workloads::inputs::FaultPlan
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -313,12 +315,14 @@ pub struct FleetReport {
     pub dag: Option<DagServeStats>,
 }
 
-/// Capacity a chip degraded by `slowdown_percent` loses over `interval`
-/// cycles: the chip delivers `100/(100+p)` of its nominal work, so the loss
-/// is the complementary fraction (integer arithmetic, rounding toward zero).
-fn degraded_loss_cycles(interval: u64, slowdown_percent: u32) -> u64 {
-    let p = u64::from(slowdown_percent);
-    interval.saturating_mul(p) / (100 + p)
+/// One scheduled fleet event.  The derived order is the same-cycle
+/// tie-break: faults in plan order, then the scaling check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// The fault at this index of the fault plan.
+    Fault(usize),
+    /// One scaling decision per shard.
+    ScaleCheck,
 }
 
 /// A sharded, fault-tolerant, elastically scaled serving session — see the
@@ -334,8 +338,8 @@ pub struct FleetSession<'rt> {
     clock: u64,
     drained: bool,
     faults: FaultPlan,
-    next_fault: usize,
-    next_scale_check: u64,
+    /// Unapplied faults and the next scaling check, by `(cycle, event)`.
+    events: BTreeSet<(u64, Event)>,
     /// The fleet's event horizon: the latest externally scheduled event —
     /// fault time or submitted arrival — seen so far.  Virtual time never
     /// advances past it (see [`Self::run_until`]), which is what makes the
@@ -343,12 +347,6 @@ pub struct FleetSession<'rt> {
     /// instead of the caller's stepping pattern.
     horizon: u64,
     next_shard_rr: usize,
-    /// `(shard, chip, death time)` of every applied death.
-    deaths: Vec<(usize, usize, u64)>,
-    /// Open degradation interval per `(shard, chip)`: `(since, percent)`.
-    open_degradation: Vec<Vec<Option<(u64, u32)>>>,
-    /// Capacity lost in already-closed degradation intervals.
-    closed_lost_cycles: u64,
     chip_deaths: usize,
     degradations: usize,
     recoveries: usize,
@@ -406,7 +404,15 @@ impl<'rt> FleetSession<'rt> {
             }
         }
         let peak_workers = shards.iter().map(ServeSession::active_workers).sum();
-        let next_scale_check = config.scaling.map_or(u64::MAX, |s| s.check_interval_cycles);
+        let mut events: BTreeSet<(u64, Event)> = faults
+            .events
+            .iter()
+            .enumerate()
+            .map(|(index, event)| (event.at_cycles, Event::Fault(index)))
+            .collect();
+        if let Some(scaling) = config.scaling {
+            events.insert((scaling.check_interval_cycles, Event::ScaleCheck));
+        }
         // Fault times are data, so they seed the horizon up front; arrivals
         // extend it as they are submitted.
         let horizon = faults.events.last().map_or(0, |e| e.at_cycles);
@@ -418,13 +424,9 @@ impl<'rt> FleetSession<'rt> {
             clock: 0,
             drained: false,
             faults,
-            next_fault: 0,
-            next_scale_check,
+            events,
             horizon,
             next_shard_rr: 0,
-            deaths: Vec::new(),
-            open_degradation: vec![vec![None; chips]; config.shards],
-            closed_lost_cycles: 0,
             chip_deaths: 0,
             degradations: 0,
             recoveries: 0,
@@ -553,12 +555,7 @@ impl<'rt> FleetSession<'rt> {
             .iter()
             .filter_map(ServeSession::next_event_cycles)
             .min()?;
-        let mut next = work;
-        if let Some(event) = self.faults.events.get(self.next_fault) {
-            next = next.min(event.at_cycles);
-        }
-        next = next.min(self.next_scale_check);
-        Some(next)
+        Some(self.events.first().map_or(work, |&(at, _)| work.min(at)))
     }
 
     /// Drains the accumulated per-request outcomes of every shard (shard
@@ -627,18 +624,13 @@ impl<'rt> FleetSession<'rt> {
         }
         let serve = merged.expect("a fleet has at least one shard").finish();
 
-        // Capacity accounting closes at the merged makespan: dead chips
-        // count fully from death, still-degraded chips their derated share.
+        // Capacity accounting closes at the merged makespan.
         let makespan = serve.makespan_cycles;
-        let mut chip_cycles_lost = self.closed_lost_cycles;
-        for &(_, _, at) in &self.deaths {
-            chip_cycles_lost += makespan.saturating_sub(at);
-        }
-        for shard in &self.open_degradation {
-            for &(since, percent) in shard.iter().flatten() {
-                chip_cycles_lost += degraded_loss_cycles(makespan.saturating_sub(since), percent);
-            }
-        }
+        let chip_cycles_lost: u64 = self
+            .shards
+            .iter()
+            .map(|session| session.chip_cycles_lost(makespan))
+            .sum();
         let nominal_ghz = self.runtime.plans()[0].chip_params().nominal_frequency_ghz;
         let per_class_slo_attainment = serve
             .per_class
@@ -654,7 +646,7 @@ impl<'rt> FleetSession<'rt> {
             .collect();
         let availability = AvailabilityStats {
             shards: self.shards.len(),
-            faults_injected: self.next_fault,
+            faults_injected: self.chip_deaths + self.degradations + self.recoveries,
             chip_deaths: self.chip_deaths,
             degradations: self.degradations,
             recoveries: self.recoveries,
@@ -736,41 +728,28 @@ impl<'rt> FleetSession<'rt> {
     // --- the chaos event loop ----------------------------------------------
 
     /// Applies every fault and scaling check due at or before `target`, in
-    /// time order (faults first on ties), then advances the fleet clock.
+    /// `(cycle, event)` order, then advances the fleet clock.
     fn advance(&mut self, target: u64) {
-        loop {
-            let fault_at = self
-                .faults
-                .events
-                .get(self.next_fault)
-                .map(|e| e.at_cycles)
-                .filter(|&t| t <= target);
-            let check_at = (self.next_scale_check <= target).then_some(self.next_scale_check);
-            match (fault_at, check_at) {
-                (Some(f), Some(c)) if f > c => self.apply_scale_check(c),
-                (Some(_), _) => {
-                    let event = self.faults.events[self.next_fault];
-                    self.next_fault += 1;
-                    self.apply_fault(event);
-                }
-                (None, Some(c)) => self.apply_scale_check(c),
-                (None, None) => break,
+        while let Some(&(at, event)) = self.events.first() {
+            if at > target {
+                break;
+            }
+            self.events.pop_first();
+            match event {
+                Event::Fault(index) => self.apply_fault(self.faults.events[index]),
+                Event::ScaleCheck => self.apply_scale_check(at),
             }
         }
         self.clock = self.clock.max(target);
     }
 
-    /// Applies one fault event and updates the availability ledgers.
+    /// Applies one fault event; the shard's lanes record the health change
+    /// or death the capacity ledger is derived from at drain.
     fn apply_fault(&mut self, event: FaultEvent) {
         let at = event.at_cycles;
         match event.kind {
             FaultKind::ChipDeath { shard, chip } => {
                 self.shards[shard].kill_chip(chip, at);
-                if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
-                    self.closed_lost_cycles +=
-                        degraded_loss_cycles(at.saturating_sub(since), percent);
-                }
-                self.deaths.push((shard, chip, at));
                 self.chip_deaths += 1;
             }
             FaultKind::Degradation {
@@ -783,19 +762,10 @@ impl<'rt> FleetSession<'rt> {
                     ChipHealth::Degraded { slowdown_percent },
                     at,
                 );
-                if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
-                    self.closed_lost_cycles +=
-                        degraded_loss_cycles(at.saturating_sub(since), percent);
-                }
-                self.open_degradation[shard][chip] = Some((at, slowdown_percent));
                 self.degradations += 1;
             }
             FaultKind::Recovery { shard, chip } => {
                 self.shards[shard].set_chip_health(chip, ChipHealth::Healthy, at);
-                if let Some((since, percent)) = self.open_degradation[shard][chip].take() {
-                    self.closed_lost_cycles +=
-                        degraded_loss_cycles(at.saturating_sub(since), percent);
-                }
                 self.recoveries += 1;
             }
         }
@@ -808,7 +778,10 @@ impl<'rt> FleetSession<'rt> {
             .config
             .scaling
             .expect("scale checks only fire with scaling configured");
-        self.next_scale_check = at + scaling.check_interval_cycles;
+        // Virtual time ends at `u64::MAX`: a check past it never fires.
+        if let Some(next) = at.checked_add(scaling.check_interval_cycles) {
+            self.events.insert((next, Event::ScaleCheck));
+        }
         let chips = self.runtime.config().chips;
         let cap = if scaling.max_workers == 0 {
             chips

@@ -40,9 +40,13 @@
 //!   forcibly drained), and after `recovery_warmup_cycles` it is
 //!   **Healthy** again.
 //!
-//! All transitions are virtual-time events in one deterministic stream with
-//! plan events, so report bytes are invariant to stepping granularity and
-//! polling order, exactly like the layers below.
+//! Plan events, timed transitions and retries sit in one ordered set keyed
+//! by `(cycle, event)`, whose derived order is the same-cycle tie-break:
+//! plan events in plan order, then health transitions, then retries, the
+//! last two in scheduling order.  Report bytes are therefore invariant to
+//! stepping granularity and polling order, exactly like the layers below.
+//! Each region records its health once, as a `(since, health)` history; the
+//! per-state cycles and the Down windows are derived from it at drain.
 //!
 //! ## Retry budgets and graceful degradation
 //!
@@ -61,7 +65,7 @@
 //! [`RegionRecovery`]: RegionFaultKind::RegionRecovery
 //! [`CompiledPlan`]: aim_core::pipeline::CompiledPlan
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -72,7 +76,7 @@ use crate::runtime::ServeRuntime;
 use crate::session::CompletionStatus;
 
 /// Health of one region, as seen by the router's state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum RegionHealth {
     /// Taking traffic normally.
     Healthy,
@@ -100,16 +104,6 @@ impl RegionHealth {
     #[must_use]
     pub fn routable(self) -> bool {
         matches!(self, Self::Healthy | Self::Recovering)
-    }
-
-    /// Index into per-state ledgers.
-    fn index(self) -> usize {
-        match self {
-            Self::Healthy => 0,
-            Self::Suspect => 1,
-            Self::Down => 2,
-            Self::Recovering => 3,
-        }
     }
 }
 
@@ -552,17 +546,37 @@ struct RegionState<'rt> {
     local_model: Vec<Option<usize>>,
     models: Vec<usize>,
     nominal_ghz: f64,
-    health: RegionHealth,
-    state_since: u64,
-    /// Closed per-state cycle ledger, indexed by [`RegionHealth::index`].
-    state_cycles: [u64; 4],
-    /// Bumped on every transition; pending timed transitions carry the
-    /// generation they were scheduled under and go stale when it moves.
-    generation: u64,
-    /// `(start, end)` of every Down interval (`end` = `None` while open).
-    down_intervals: Vec<(u64, Option<u64>)>,
+    /// Every health the region entered and the cycle it entered it, from
+    /// `(0, Healthy)` on.  Its length is the transition generation: a timed
+    /// transition scheduled under another length is stale.
+    history: Vec<(u64, RegionHealth)>,
     /// Fleet submission index → global request id.
     submitted_map: Vec<usize>,
+}
+
+impl RegionState<'_> {
+    fn health(&self) -> RegionHealth {
+        self.history.last().expect("a history starts at cycle 0").1
+    }
+}
+
+/// One scheduled router event.  The derived order is the same-cycle
+/// tie-break: plan events in plan order, then health transitions, then
+/// retries, both in scheduling order (`seq`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// The region-plan event at this index.
+    Plan(usize),
+    /// `region` moves to `target`, unless its history has left the
+    /// `generation` (length) it was scheduled under.
+    Transition {
+        seq: u64,
+        region: usize,
+        generation: usize,
+        target: RegionHealth,
+    },
+    /// Request `id` is routed again.
+    Retry { seq: u64, id: usize },
 }
 
 /// The multi-region front door — see the [module docs](self) for semantics.
@@ -570,7 +584,9 @@ struct RegionState<'rt> {
 pub struct GlobalRouter<'rt> {
     config: GlobalConfig,
     plan: RegionFaultPlan,
-    next_plan_event: usize,
+    /// Unapplied plan events, pending transitions and retries, by
+    /// `(cycle, event)`.
+    events: BTreeSet<(u64, Event)>,
     regions: Vec<RegionState<'rt>>,
     /// Global model id → regions holding it (ascending).
     holders: Vec<Vec<usize>>,
@@ -581,11 +597,6 @@ pub struct GlobalRouter<'rt> {
     horizon: u64,
     drained: bool,
     tracks: Vec<RequestTrack>,
-    /// Pending timed health transitions:
-    /// `(at, seq) → (region, generation, target)`.
-    transitions: BTreeMap<(u64, u64), (usize, u64, RegionHealth)>,
-    /// Pending retries: `(at, seq) → request id`.
-    retries: BTreeMap<(u64, u64), usize>,
     next_seq: u64,
     completions: Vec<GlobalOutcome>,
     outages: usize,
@@ -654,11 +665,7 @@ impl<'rt> GlobalRouter<'rt> {
                 local_model,
                 models: spec.models,
                 nominal_ghz,
-                health: RegionHealth::Healthy,
-                state_since: 0,
-                state_cycles: [0; 4],
-                generation: 0,
-                down_intervals: Vec::new(),
+                history: vec![(0, RegionHealth::Healthy)],
                 submitted_map: Vec::new(),
             });
         }
@@ -668,18 +675,22 @@ impl<'rt> GlobalRouter<'rt> {
                 "model {model} is resident in no region — it could never be served"
             );
         }
+        let events = plan
+            .events
+            .iter()
+            .enumerate()
+            .map(|(index, event)| (event.at_cycles, Event::Plan(index)))
+            .collect();
         Self {
             config,
             plan,
-            next_plan_event: 0,
+            events,
             regions: states,
             holders,
             clock: 0,
             horizon,
             drained: false,
             tracks: Vec::new(),
-            transitions: BTreeMap::new(),
-            retries: BTreeMap::new(),
             next_seq: 0,
             completions: Vec::new(),
             outages: 0,
@@ -722,7 +733,7 @@ impl<'rt> GlobalRouter<'rt> {
     /// Panics if `region` is out of range.
     #[must_use]
     pub fn region_health(&self, region: usize) -> RegionHealth {
-        self.regions[region].health
+        self.regions[region].health()
     }
 
     /// Accepts one request at the router's virtual "now" and routes it.
@@ -776,7 +787,8 @@ impl<'rt> GlobalRouter<'rt> {
 
     /// Applies every remaining scheduled event (retries can schedule more
     /// retries — the budget bounds the cascade), drains every region fleet,
-    /// closes the health ledgers and freezes the final report.
+    /// derives the health ledgers from each region's history and freezes
+    /// the final report.
     ///
     /// # Panics
     ///
@@ -787,10 +799,7 @@ impl<'rt> GlobalRouter<'rt> {
         // every queue is empty (bounded by the per-request budget).
         loop {
             self.advance(self.horizon);
-            if self.next_plan_event >= self.plan.events.len()
-                && self.transitions.is_empty()
-                && self.retries.is_empty()
-            {
+            if self.events.is_empty() {
                 break;
             }
         }
@@ -802,7 +811,7 @@ impl<'rt> GlobalRouter<'rt> {
             .collect();
         self.harvest();
 
-        // Close every health ledger at the global completion time.
+        // Every region's last health lasts until the global completion time.
         let makespan = fleet_reports
             .iter()
             .map(|r| r.serve.makespan_cycles)
@@ -813,33 +822,31 @@ impl<'rt> GlobalRouter<'rt> {
         let mut region_seconds_lost = 0.0f64;
         let mut regions = Vec::with_capacity(self.regions.len());
         let mut down_windows: Vec<(u64, u64)> = Vec::new();
-        for (state, fleet) in self.regions.iter_mut().zip(fleet_reports) {
-            state.state_cycles[state.health.index()] += makespan.saturating_sub(state.state_since);
-            state.state_since = makespan;
-            if let Some(last @ (_, None)) = state.down_intervals.last_mut() {
-                last.1 = Some(makespan);
-            }
-            let down: u64 = state
-                .down_intervals
+        for (state, fleet) in self.regions.iter().zip(fleet_reports) {
+            let mut state_cycles = [0u64; 4];
+            let ends = state
+                .history
                 .iter()
-                .map(|&(start, end)| end.unwrap_or(makespan).saturating_sub(start))
-                .sum();
-            region_cycles_lost += down;
-            region_seconds_lost += down as f64 / (state.nominal_ghz * 1e9);
-            down_windows.extend(
-                state
-                    .down_intervals
-                    .iter()
-                    .map(|&(start, end)| (start, end.unwrap_or(makespan))),
-            );
+                .skip(1)
+                .map(|&(at, _)| at)
+                .chain([makespan]);
+            for (&(since, health), end) in state.history.iter().zip(ends) {
+                state_cycles[health as usize] += end.saturating_sub(since);
+                if health == RegionHealth::Down {
+                    down_windows.push((since, end));
+                }
+            }
+            let [healthy_cycles, suspect_cycles, down_cycles, recovering_cycles] = state_cycles;
+            region_cycles_lost += down_cycles;
+            region_seconds_lost += down_cycles as f64 / (state.nominal_ghz * 1e9);
             regions.push(RegionReport {
                 name: state.name.clone(),
                 models: state.models.clone(),
-                final_health: state.health,
-                healthy_cycles: state.state_cycles[0],
-                suspect_cycles: state.state_cycles[1],
-                down_cycles: state.state_cycles[2],
-                recovering_cycles: state.state_cycles[3],
+                final_health: state.health(),
+                healthy_cycles,
+                suspect_cycles,
+                down_cycles,
+                recovering_cycles,
                 fleet,
             });
         }
@@ -911,7 +918,7 @@ impl<'rt> GlobalRouter<'rt> {
             },
             availability: GlobalAvailability {
                 regions: regions.len(),
-                region_faults_applied: self.next_plan_event,
+                region_faults_applied: self.outages + self.recoveries + self.flash_crowds,
                 outages: self.outages,
                 recoveries: self.recoveries,
                 flash_crowd_events: self.flash_crowds,
@@ -966,49 +973,31 @@ impl<'rt> GlobalRouter<'rt> {
 
     // --- the global event loop ---------------------------------------------
 
-    /// Applies every scheduled event due at or before `target`, in time
-    /// order; same-cycle ties resolve plan events → health transitions →
-    /// retries, each source internally ordered (plan canonical order,
-    /// scheduling sequence for the rest).
+    /// Applies every scheduled event due at or before `target`, in
+    /// `(cycle, event)` order, then advances the router clock.
     fn advance(&mut self, target: u64) {
-        loop {
-            let plan_at = self
-                .plan
-                .events
-                .get(self.next_plan_event)
-                .map(|e| e.at_cycles)
-                .filter(|&t| t <= target);
-            let transition_at = self
-                .transitions
-                .keys()
-                .next()
-                .map(|&(t, _)| t)
-                .filter(|&t| t <= target);
-            let retry_at = self
-                .retries
-                .keys()
-                .next()
-                .map(|&(t, _)| t)
-                .filter(|&t| t <= target);
-            let due = [plan_at, transition_at, retry_at]
-                .into_iter()
-                .enumerate()
-                .filter_map(|(rank, at)| at.map(|t| (t, rank)))
-                .min();
-            match due {
-                None => break,
-                Some((_, 0)) => self.apply_plan_event(),
-                Some((_, 1)) => self.apply_transition(),
-                Some((_, _)) => self.apply_retry(),
+        while let Some(&(at, event)) = self.events.first() {
+            if at > target {
+                break;
+            }
+            self.events.pop_first();
+            match event {
+                Event::Plan(index) => self.apply_plan_event(index),
+                Event::Transition {
+                    region,
+                    generation,
+                    target: health,
+                    ..
+                } => self.apply_transition(at, region, generation, health),
+                Event::Retry { id, .. } => self.route(id, at),
             }
         }
         self.clock = self.clock.max(target);
     }
 
-    /// Applies the next region-plan event.
-    fn apply_plan_event(&mut self) {
-        let event = self.plan.events[self.next_plan_event];
-        self.next_plan_event += 1;
+    /// Applies the region-plan event at `index`.
+    fn apply_plan_event(&mut self, index: usize) {
+        let event = self.plan.events[index];
         match event.kind {
             RegionFaultKind::RegionOutage { region } => {
                 self.outages += 1;
@@ -1021,7 +1010,7 @@ impl<'rt> GlobalRouter<'rt> {
             RegionFaultKind::RegionRecovery { region } => {
                 self.recoveries += 1;
                 // Recovery may land while still Suspect (inside the grace
-                // window): moving the generation cancels the pending Down.
+                // window): the history moving on cancels the pending Down.
                 self.set_health(region, RegionHealth::Recovering, event.at_cycles);
                 let healthy_at = event
                     .at_cycles
@@ -1036,25 +1025,35 @@ impl<'rt> GlobalRouter<'rt> {
         }
     }
 
+    /// Queues `event(seq)` at `at` under the next scheduling sequence
+    /// number, extending the horizon to it.
+    fn schedule(&mut self, at: u64, event: impl FnOnce(u64) -> Event) {
+        self.horizon = self.horizon.max(at);
+        self.events.insert((at, event(self.next_seq)));
+        self.next_seq += 1;
+    }
+
     /// Queues a timed health transition, pinned to the region's current
     /// generation so later transitions invalidate it.
     fn schedule_transition(&mut self, at: u64, region: usize, target: RegionHealth) {
-        self.horizon = self.horizon.max(at);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.transitions
-            .insert((at, seq), (region, self.regions[region].generation, target));
+        let generation = self.regions[region].history.len();
+        self.schedule(at, |seq| Event::Transition {
+            seq,
+            region,
+            generation,
+            target,
+        });
     }
 
-    /// Fires the earliest pending timed transition.
-    fn apply_transition(&mut self) {
-        let (&(at, seq), &(region, generation, target)) = self
-            .transitions
-            .iter()
-            .next()
-            .expect("advance only fires with a pending transition");
-        self.transitions.remove(&(at, seq));
-        if self.regions[region].generation != generation {
+    /// Fires one timed transition of `region` to `target` at `at`.
+    fn apply_transition(
+        &mut self,
+        at: u64,
+        region: usize,
+        generation: usize,
+        target: RegionHealth,
+    ) {
+        if self.regions[region].history.len() != generation {
             // A plan event moved the region on (e.g. it recovered inside
             // the grace window); this transition is stale.
             return;
@@ -1074,35 +1073,12 @@ impl<'rt> GlobalRouter<'rt> {
         }
     }
 
-    /// Fires the earliest pending retry.
-    fn apply_retry(&mut self) {
-        let (&(at, seq), &id) = self
-            .retries
-            .iter()
-            .next()
-            .expect("advance only fires with a pending retry");
-        self.retries.remove(&(at, seq));
-        self.route(id, at);
-    }
-
-    /// Moves `region` to `new` at virtual time `at`, closing the previous
-    /// state's ledger interval.
+    /// Moves `region` to `new` at virtual time `at` (a no-op when it is
+    /// already there).
     fn set_health(&mut self, region: usize, new: RegionHealth, at: u64) {
         let state = &mut self.regions[region];
-        let old = state.health;
-        if old == new {
-            return;
-        }
-        state.state_cycles[old.index()] += at.saturating_sub(state.state_since);
-        state.health = new;
-        state.state_since = at;
-        state.generation += 1;
-        if new == RegionHealth::Down {
-            state.down_intervals.push((at, None));
-        } else if old == RegionHealth::Down {
-            if let Some(last @ (_, None)) = state.down_intervals.last_mut() {
-                last.1 = Some(at);
-            }
+        if state.health() != new {
+            state.history.push((at, new));
         }
     }
 
@@ -1126,7 +1102,7 @@ impl<'rt> GlobalRouter<'rt> {
         let candidates: Vec<usize> = self.holders[model]
             .iter()
             .copied()
-            .filter(|&r| self.regions[r].health.routable())
+            .filter(|&r| self.regions[r].health().routable())
             .collect();
         if candidates.is_empty() {
             self.defer_or_shed(id, at);
@@ -1187,12 +1163,8 @@ impl<'rt> GlobalRouter<'rt> {
         }
         self.tracks[id].attempts += 1;
         let backoff = self.config.retry.backoff_cycles(self.tracks[id].attempts);
-        let when = at.saturating_add(backoff);
-        self.horizon = self.horizon.max(when);
         self.retries_scheduled += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.retries.insert((when, seq), id);
+        self.schedule(at.saturating_add(backoff), |seq| Event::Retry { seq, id });
     }
 
     /// Sheds request `id` — the graceful-degradation outcome.

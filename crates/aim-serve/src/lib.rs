@@ -91,6 +91,25 @@
 //! stepping all return the same bytes.  `tests/properties.rs` and
 //! `tests/session_api.rs` pin this along with the no-request-lost,
 //! conservation and SLO-priority invariants.
+//!
+//! Each layer applies its virtual-time events in one declared order, and
+//! events at the same cycle break ties as follows:
+//!
+//! * **session** — arrivals before window closures, closures ordered by
+//!   `(close_at, generation)`: the window map of [`session::ServeSession`]
+//!   and its `submit_with_id`, which closes only windows strictly before
+//!   the arrival;
+//! * **fleet** — faults in plan order, then the scaling check, both before
+//!   a submission at that cycle: the derived `Ord` of the private `Event`
+//!   enum in [`fleet`];
+//! * **router** — plan events in plan order, then health transitions, then
+//!   retries, the last two in scheduling order: the derived `Ord` of the
+//!   private `Event` enum in [`global`];
+//! * **DAG** — ready stages by `(ready_at, item, stage)`, before fleet
+//!   observations: the `ready` set of [`dag::DagOrchestrator`] and its
+//!   event walk.
+//!
+//! `tests/fleet.rs` and `tests/global.rs` pin the fleet and router ties.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

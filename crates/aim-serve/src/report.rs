@@ -93,6 +93,20 @@ pub struct ModelCalibration {
     pub max_abs_ewma_drift: f64,
 }
 
+impl ModelCalibration {
+    /// Folds another shard's row for the same model into this one: counters
+    /// add, `demoted` ors, the bound and the EWMA peak fold through `max`.
+    fn merge(&mut self, other: &Self) {
+        self.samples += other.samples;
+        self.recalibrations += other.recalibrations;
+        self.demotions += other.demotions;
+        self.promotions += other.promotions;
+        self.demoted |= other.demoted;
+        self.error_bound = self.error_bound.max(other.error_bound);
+        self.max_abs_ewma_drift = self.max_abs_ewma_drift.max(other.max_abs_ewma_drift);
+    }
+}
+
 /// Per-SLO-class serving statistics: the latency split that shows whether
 /// priority scheduling actually protected the latency-sensitive tier.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -445,74 +459,6 @@ impl VerifyAgg {
     }
 }
 
-/// Order-free calibration-loop aggregate: per-model counter rows that merge
-/// counter-for-counter, with the EWMA excursion quantized to fixed point and
-/// folded through `max` so shard merges stay associative.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-struct CalAgg {
-    per_model: Vec<ModelCalAgg>,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-struct ModelCalAgg {
-    samples: u64,
-    recalibrations: u64,
-    demotions: u64,
-    promotions: u64,
-    demoted: bool,
-    /// The model's calibrated bound (identical on every shard; max-merged).
-    error_bound: f64,
-    /// Worst |EWMA| in parts per 10^12.
-    max_abs_ewma_fp: u64,
-}
-
-impl CalAgg {
-    fn merge(&mut self, other: &Self) {
-        if self.per_model.len() < other.per_model.len() {
-            self.per_model
-                .resize(other.per_model.len(), ModelCalAgg::default());
-        }
-        for (mine, theirs) in self.per_model.iter_mut().zip(&other.per_model) {
-            mine.samples += theirs.samples;
-            mine.recalibrations += theirs.recalibrations;
-            mine.demotions += theirs.demotions;
-            mine.promotions += theirs.promotions;
-            mine.demoted |= theirs.demoted;
-            mine.error_bound = mine.error_bound.max(theirs.error_bound);
-            mine.max_abs_ewma_fp = mine.max_abs_ewma_fp.max(theirs.max_abs_ewma_fp);
-        }
-    }
-
-    fn finish(&self) -> CalibrationStats {
-        let per_model: Vec<ModelCalibration> = self
-            .per_model
-            .iter()
-            .enumerate()
-            .map(|(model, agg)| ModelCalibration {
-                model,
-                samples: agg.samples,
-                recalibrations: agg.recalibrations,
-                demotions: agg.demotions,
-                promotions: agg.promotions,
-                demoted: agg.demoted,
-                error_bound: agg.error_bound,
-                max_abs_ewma_drift: agg.max_abs_ewma_fp as f64 / DRIFT_FP_SCALE,
-            })
-            .collect();
-        CalibrationStats {
-            samples: per_model.iter().map(|m| m.samples).sum(),
-            recalibrations: per_model.iter().map(|m| m.recalibrations).sum(),
-            demotions: per_model.iter().map(|m| m.demotions).sum(),
-            promotions: per_model.iter().map(|m| m.promotions).sum(),
-            max_abs_ewma_drift: per_model
-                .iter()
-                .map(|m| m.max_abs_ewma_drift)
-                .fold(0.0f64, f64::max),
-            per_model,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct ClassAcc {
     total: usize,
@@ -558,9 +504,10 @@ pub struct ReportAccumulator {
     per_class: Vec<ClassAcc>,
     exec: ExecAgg,
     verify: VerifyAgg,
-    /// `Some` once a session with the online calibration loop reported its
-    /// state ([`Self::record_calibration`]); `None` otherwise.
-    cal: Option<CalAgg>,
+    /// Per-model calibration rows (row index = model), `Some` once a
+    /// session with the online calibration loop reported its state
+    /// ([`Self::record_calibration`]); `None` otherwise.
+    cal: Option<Vec<ModelCalibration>>,
 }
 
 impl ReportAccumulator {
@@ -687,29 +634,35 @@ impl ReportAccumulator {
 
     /// Records one session's online calibration-loop state, one row per
     /// model ([`ModelCalibration::model`] must equal the row's index).  The
-    /// EWMA excursion is quantized to parts per 10^12 on the way in so
-    /// every later fold is an integer/`max` aggregate.  Calling this on an
-    /// accumulator that already holds rows (a merged shard tree) folds the
-    /// new rows in counter-for-counter.
+    /// EWMA excursion is quantized to parts per 10^12 on the way in, a
+    /// monotone map that `max` commutes with, so shard merges stay
+    /// associative.  Calling this on an accumulator that already holds rows
+    /// (a merged shard tree) folds the new rows in counter-for-counter.
     pub fn record_calibration(&mut self, per_model: &[ModelCalibration]) {
-        let incoming = CalAgg {
-            per_model: per_model
-                .iter()
-                .map(|row| ModelCalAgg {
-                    samples: row.samples,
-                    recalibrations: row.recalibrations,
-                    demotions: row.demotions,
-                    promotions: row.promotions,
-                    demoted: row.demoted,
-                    error_bound: row.error_bound,
-                    max_abs_ewma_fp: (row.max_abs_ewma_drift * DRIFT_FP_SCALE).round() as u64,
-                })
-                .collect(),
+        let quantized = per_model
+            .iter()
+            .map(|row| ModelCalibration {
+                max_abs_ewma_drift: ((row.max_abs_ewma_drift * DRIFT_FP_SCALE).round() as u64)
+                    as f64
+                    / DRIFT_FP_SCALE,
+                ..*row
+            })
+            .collect();
+        self.merge_calibration(quantized);
+    }
+
+    /// Folds per-model calibration rows into this accumulator's, row by row;
+    /// rows beyond this accumulator's model count are adopted as they are.
+    fn merge_calibration(&mut self, incoming: Vec<ModelCalibration>) {
+        let Some(rows) = &mut self.cal else {
+            self.cal = Some(incoming);
+            return;
         };
-        match &mut self.cal {
-            Some(agg) => agg.merge(&incoming),
-            None => self.cal = Some(incoming),
+        for (row, other) in rows.iter_mut().zip(&incoming) {
+            row.merge(other);
         }
+        let known = rows.len();
+        rows.extend(incoming.into_iter().skip(known));
     }
 
     /// Folds another shard's accumulator into this one (see the type-level
@@ -757,10 +710,8 @@ impl ReportAccumulator {
         }
         self.exec.merge(&other.exec);
         self.verify.merge(&other.verify);
-        match (&mut self.cal, other.cal) {
-            (Some(mine), Some(theirs)) => mine.merge(&theirs),
-            (None, Some(theirs)) => self.cal = Some(theirs),
-            (_, None) => {}
+        if let Some(theirs) = other.cal {
+            self.merge_calibration(theirs);
         }
     }
 
@@ -839,7 +790,17 @@ impl ReportAccumulator {
             simulated_cycles: self.exec.simulated_cycles,
             analytical_chips: self.analytical_chips,
             verification,
-            calibration: self.cal.as_ref().map(CalAgg::finish),
+            calibration: self.cal.as_ref().map(|rows| CalibrationStats {
+                samples: rows.iter().map(|m| m.samples).sum(),
+                recalibrations: rows.iter().map(|m| m.recalibrations).sum(),
+                demotions: rows.iter().map(|m| m.demotions).sum(),
+                promotions: rows.iter().map(|m| m.promotions).sum(),
+                max_abs_ewma_drift: rows
+                    .iter()
+                    .map(|m| m.max_abs_ewma_drift)
+                    .fold(0.0f64, f64::max),
+                per_model: rows.clone(),
+            }),
             per_chip,
             per_class,
         }

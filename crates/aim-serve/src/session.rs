@@ -256,8 +256,8 @@ struct GroupRecord {
 /// Per-model state of the online calibration loop
 /// ([`ServeConfig::calibration`]): the EWMA of signed relative residuals
 /// since the last recalibration, the multiplier recalibration has folded
-/// onto the fitted cycle prediction, the demotion state machine, and the
-/// counters the report surfaces.
+/// onto the fitted cycle prediction, the demotion streaks, and the model's
+/// report row, which the session hands to its accumulator at drain as is.
 ///
 /// [`ServeConfig::calibration`]: crate::runtime::ServeConfig::calibration
 #[derive(Debug, Clone, Copy)]
@@ -267,37 +267,36 @@ struct ModelLoopState {
     /// EWMA of signed relative residuals `(accurate - predicted) /
     /// predicted` since the last recalibration.
     ewma: f64,
-    /// Worst |EWMA| the model ever reached.
-    max_abs_ewma: f64,
-    samples: u64,
     /// Samples absorbed since the last applied recalibration; a boundary
     /// with zero fresh samples is a no-op (which is what keeps stale
     /// boundaries from perturbing byte-stability).
     samples_since_recal: u64,
     out_streak: u32,
     in_streak: u32,
-    /// Whether the model currently executes cycle-accurately on analytical
-    /// lanes.
-    demoted: bool,
-    recalibrations: u64,
-    demotions: u64,
-    promotions: u64,
+    /// Counters, demotion state (`demoted`: the model currently executes
+    /// cycle-accurately on analytical lanes), calibrated bound and worst
+    /// |EWMA|.
+    row: ModelCalibration,
 }
 
 impl ModelLoopState {
-    const fn new() -> Self {
+    fn new(model: usize, error_bound: f64) -> Self {
         Self {
             adjust: 1.0,
             ewma: 0.0,
-            max_abs_ewma: 0.0,
-            samples: 0,
             samples_since_recal: 0,
             out_streak: 0,
             in_streak: 0,
-            demoted: false,
-            recalibrations: 0,
-            demotions: 0,
-            promotions: 0,
+            row: ModelCalibration {
+                model,
+                samples: 0,
+                recalibrations: 0,
+                demotions: 0,
+                promotions: 0,
+                demoted: false,
+                error_bound,
+                max_abs_ewma_drift: 0.0,
+            },
         }
     }
 }
@@ -334,9 +333,9 @@ struct ChipLane {
     /// Measured finish of the last executed slot.
     actual_free: u64,
     actual_last_model: Option<usize>,
-    /// `false` once the chip died ([`ServeSession::kill_chip`]): no new
-    /// dispatch, no further execution (its queue was failed over).
-    alive: bool,
+    /// The death cycle once the chip died ([`ServeSession::kill_chip`]): no
+    /// new dispatch, no further execution (its queue was failed over).
+    died_at: Option<u64>,
     /// Elastic-scaling eligibility: an inactive chip drains its queue but
     /// receives no new dispatch ([`ServeSession::set_worker_count`]).
     active: bool,
@@ -349,6 +348,10 @@ struct ChipLane {
 }
 
 impl ChipLane {
+    fn alive(&self) -> bool {
+        self.died_at.is_none()
+    }
+
     /// Estimated time the chip finishes everything currently queued.
     fn est_avail(&self) -> u64 {
         self.slots
@@ -554,17 +557,20 @@ impl<'rt> ServeSession<'rt> {
                 est_prev_model: None,
                 actual_free: 0,
                 actual_last_model: None,
-                alive: true,
+                died_at: None,
                 active: true,
                 health_changes: Vec::new(),
                 backlog: [0; 3],
                 sim: SimSession::new(),
             })
             .collect();
-        let cal = if Self::loop_config(runtime).is_some() {
-            vec![ModelLoopState::new(); runtime.plans().len()]
-        } else {
-            Vec::new()
+        let cal = match Self::loop_config(runtime).and(runtime.analytical_plans()) {
+            Some(plans) => plans
+                .iter()
+                .enumerate()
+                .map(|(model, plan)| ModelLoopState::new(model, plan.error_bound()))
+                .collect(),
+            None => Vec::new(),
         };
         let next_recal_at =
             Self::loop_config(runtime).map_or(u64::MAX, |cfg| cfg.recalibrate_interval_cycles);
@@ -823,31 +829,27 @@ impl<'rt> ServeSession<'rt> {
         let Some(cfg) = Self::loop_config(self.runtime) else {
             return;
         };
-        let plans = self
-            .runtime
-            .analytical_plans()
-            .expect("loop config implies analytical plans");
-        for (model, state) in self.cal.iter_mut().enumerate() {
+        for state in &mut self.cal {
             if state.samples_since_recal == 0 {
                 continue;
             }
-            let out_of_bound = state.ewma.abs() > plans[model].error_bound();
-            if state.demoted {
+            let out_of_bound = state.ewma.abs() > state.row.error_bound;
+            if state.row.demoted {
                 if out_of_bound {
                     state.in_streak = 0;
                 } else {
                     state.in_streak += 1;
                     if state.in_streak >= cfg.promote_streak {
-                        state.demoted = false;
-                        state.promotions += 1;
+                        state.row.demoted = false;
+                        state.row.promotions += 1;
                         state.in_streak = 0;
                     }
                 }
             } else if out_of_bound {
                 state.out_streak += 1;
                 if state.out_streak >= cfg.demote_streak {
-                    state.demoted = true;
-                    state.demotions += 1;
+                    state.row.demoted = true;
+                    state.row.demotions += 1;
                     state.out_streak = 0;
                 }
             } else {
@@ -858,7 +860,7 @@ impl<'rt> ServeSession<'rt> {
             // so carrying the old EWMA would double-count it).
             state.adjust =
                 (state.adjust * (1.0 + state.ewma)).clamp(MIN_CYCLE_ADJUST, MAX_CYCLE_ADJUST);
-            state.recalibrations += 1;
+            state.row.recalibrations += 1;
             state.ewma = 0.0;
             state.samples_since_recal = 0;
         }
@@ -936,25 +938,7 @@ impl<'rt> ServeSession<'rt> {
             "drain leaves no unresolved group behind"
         );
         if !self.cal.is_empty() {
-            let plans = self
-                .runtime
-                .analytical_plans()
-                .expect("loop state implies analytical plans");
-            let rows: Vec<ModelCalibration> = self
-                .cal
-                .iter()
-                .enumerate()
-                .map(|(model, state)| ModelCalibration {
-                    model,
-                    samples: state.samples,
-                    recalibrations: state.recalibrations,
-                    demotions: state.demotions,
-                    promotions: state.promotions,
-                    demoted: state.demoted,
-                    error_bound: plans[model].error_bound(),
-                    max_abs_ewma_drift: state.max_abs_ewma,
-                })
-                .collect();
+            let rows: Vec<ModelCalibration> = self.cal.iter().map(|state| state.row).collect();
             self.acc.record_calibration(&rows);
         }
         std::mem::replace(&mut self.acc, Self::fresh_accumulator(self.runtime))
@@ -1001,14 +985,8 @@ impl<'rt> ServeSession<'rt> {
     /// has deactivated every survivor (failover must always have a target).
     /// Allocation-free — this runs on every group commit.
     fn choose_chip(&mut self, ready: u64) -> usize {
-        let any_active = self.lanes.iter().any(|l| l.alive && l.active);
-        let eligible = move |l: &&ChipLane| {
-            if any_active {
-                l.alive && l.active
-            } else {
-                l.alive
-            }
-        };
+        let any_active = self.lanes.iter().any(|l| l.alive() && l.active);
+        let eligible = move |l: &&ChipLane| l.alive() && (l.active || !any_active);
         match self.runtime.config().dispatch {
             DispatchPolicy::RoundRobin => {
                 let count = self.lanes.iter().filter(eligible).count();
@@ -1141,25 +1119,25 @@ impl<'rt> ServeSession<'rt> {
     pub fn kill_chip(&mut self, chip: usize, at_cycles: u64) -> (usize, usize) {
         assert!(!self.drained, "cannot kill a chip in a drained session");
         assert!(chip < self.lanes.len(), "chip {chip} outside the fleet");
-        assert!(self.lanes[chip].alive, "chip {chip} is already dead");
+        assert!(self.lanes[chip].alive(), "chip {chip} is already dead");
         assert!(
-            self.lanes.iter().filter(|l| l.alive).count() > 1,
+            self.lanes.iter().filter(|l| l.alive()).count() > 1,
             "killing chip {chip} would leave no live chip to fail over to"
         );
         // Close batch windows and execute everything that started (by the
         // estimated schedule) before the death — the immutable prefix.
         self.run_until(at_cycles);
         let lane = &mut self.lanes[chip];
-        lane.alive = false;
+        lane.died_at = Some(at_cycles);
         lane.active = false;
         let orphans = lane.drain_pending();
         // The death may have taken down the only dispatch-eligible chip;
         // keep at least one survivor accepting work.
-        if !self.lanes.iter().any(|l| l.alive && l.active) {
+        if !self.lanes.iter().any(|l| l.alive() && l.active) {
             let survivor = self
                 .lanes
                 .iter()
-                .position(|l| l.alive)
+                .position(ChipLane::alive)
                 .expect("a survivor exists (asserted above)");
             self.lanes[survivor].active = true;
         }
@@ -1213,7 +1191,7 @@ impl<'rt> ServeSession<'rt> {
         );
         assert!(chip < self.lanes.len(), "chip {chip} outside the fleet");
         assert!(
-            self.lanes[chip].alive,
+            self.lanes[chip].alive(),
             "cannot change the health of dead chip {chip}"
         );
         self.run_until(at_cycles);
@@ -1249,9 +1227,9 @@ impl<'rt> ServeSession<'rt> {
         let target = target.max(1);
         let (mut activated, mut deactivated) = (0usize, 0usize);
         loop {
-            let active = self.lanes.iter().filter(|l| l.alive && l.active).count();
+            let active = self.active_workers();
             if active < target {
-                let Some(lane) = self.lanes.iter_mut().find(|l| l.alive && !l.active) else {
+                let Some(lane) = self.lanes.iter_mut().find(|l| l.alive() && !l.active) else {
                     break;
                 };
                 lane.active = true;
@@ -1261,7 +1239,7 @@ impl<'rt> ServeSession<'rt> {
                     .lanes
                     .iter_mut()
                     .rev()
-                    .find(|l| l.alive && l.active)
+                    .find(|l| l.alive() && l.active)
                     .expect("active > target >= 1 implies an active lane");
                 lane.active = false;
                 deactivated += 1;
@@ -1275,13 +1253,37 @@ impl<'rt> ServeSession<'rt> {
     /// Live chips currently eligible for new dispatch.
     #[must_use]
     pub fn active_workers(&self) -> usize {
-        self.lanes.iter().filter(|l| l.alive && l.active).count()
+        self.lanes.iter().filter(|l| l.alive() && l.active).count()
     }
 
     /// Chips that have not died.
     #[must_use]
     pub fn alive_workers(&self) -> usize {
-        self.lanes.iter().filter(|l| l.alive).count()
+        self.lanes.iter().filter(|l| l.alive()).count()
+    }
+
+    /// Serving capacity the chips lost to faults by `makespan`, in
+    /// chip-cycles, derived from their health changes and deaths: a dead
+    /// chip counts fully from death to makespan, and a chip degraded by `p`
+    /// percent delivers `100/(100+p)` of its nominal work, so it loses the
+    /// complementary share (rounding toward zero) of each degraded interval.
+    /// That interval ends at the chip's next health change, its death, or
+    /// the makespan.
+    pub(crate) fn chip_cycles_lost(&self, makespan: u64) -> u64 {
+        let mut lost = 0;
+        for lane in &self.lanes {
+            let end = lane.died_at.unwrap_or(makespan);
+            let changes = &lane.health_changes;
+            let ends = changes.iter().skip(1).map(|&(at, _)| at).chain([end]);
+            for (&(since, health), until) in changes.iter().zip(ends) {
+                if let ChipHealth::Degraded { slowdown_percent } = health {
+                    let p = u64::from(slowdown_percent);
+                    lost += until.saturating_sub(since).saturating_mul(p) / (100 + p);
+                }
+            }
+            lost += makespan.saturating_sub(end);
+        }
+        lost
     }
 
     /// The health `chip` currently operates under.
@@ -1398,7 +1400,7 @@ impl<'rt> ServeSession<'rt> {
         // results cannot depend on worker interleaving, and the next
         // recalibration boundary only sees samples committed before it.
         let cal_snapshot: Vec<(f64, bool)> =
-            self.cal.iter().map(|s| (s.adjust, s.demoted)).collect();
+            self.cal.iter().map(|s| (s.adjust, s.row.demoted)).collect();
         let loop_on = !cal_snapshot.is_empty();
         let replays = &*self.replays;
         let lanes = std::mem::take(&mut self.lanes);
@@ -1608,8 +1610,9 @@ impl<'rt> ServeSession<'rt> {
                     let predicted = sample.predicted.max(1) as f64;
                     let residual = (sample.accurate as f64 - predicted) / predicted;
                     state.ewma = cfg.ewma_decay * residual + (1.0 - cfg.ewma_decay) * state.ewma;
-                    state.max_abs_ewma = state.max_abs_ewma.max(state.ewma.abs());
-                    state.samples += 1;
+                    state.row.max_abs_ewma_drift =
+                        state.row.max_abs_ewma_drift.max(state.ewma.abs());
+                    state.row.samples += 1;
                     state.samples_since_recal += 1;
                 }
             }

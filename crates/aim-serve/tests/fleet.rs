@@ -641,6 +641,83 @@ fn elastic_scaling_grows_under_pressure_and_drains_when_idle() {
     assert_eq!(report.serve.served_requests, trace.len());
 }
 
+/// Faults apply before the scaling check of the same cycle.  The only
+/// worker dies at cycle 1 000 with a backlog queued: the check at that cycle
+/// must see the survivor already active and no chip left to add.  Checking
+/// first would scale up onto the chip about to become the only one.
+#[test]
+fn a_fault_applies_before_the_scaling_check_of_its_cycle() {
+    let serve = ServeConfig {
+        chips: 2,
+        max_batch: 1,
+        backend: matrix_backend(),
+        ..ServeConfig::default()
+    };
+    let runtime = ServeRuntime::from_plans(plans().clone(), serve);
+    let trace: Vec<TraceRequest> = (0..6)
+        .map(|i| TraceRequest {
+            model: i % 2,
+            arrival_cycles: i as u64 * 100,
+            deadline_cycles: 100_000_000,
+            slo: SloClass::Standard,
+        })
+        .collect();
+    let config = FleetConfig {
+        shards: 1,
+        shard_policy: ShardPolicy::RoundRobin,
+        initial_workers: 1,
+        scaling: Some(ScalingConfig {
+            check_interval_cycles: 1_000,
+            scale_up_backlog_cycles: 1,
+            scale_down_backlog_cycles: 0,
+            ..ScalingConfig::default()
+        }),
+    };
+    let faults = FaultPlan::new(vec![FaultEvent {
+        at_cycles: 1_000,
+        kind: FaultKind::ChipDeath { shard: 0, chip: 0 },
+    }]);
+    let report = FleetSession::serve_trace(&runtime, config, faults, &trace);
+    assert_eq!(report.availability.chip_deaths, 1);
+    assert_eq!(
+        report.availability.scale_ups, 0,
+        "the check at the death's cycle must run after the death"
+    );
+    assert_eq!(report.serve.served_requests, trace.len());
+}
+
+/// Virtual time ends at `u64::MAX`: the check after the last one that fits
+/// is dropped, never scheduled at a wrapped-around cycle.
+#[test]
+fn scaling_checks_stop_at_the_end_of_virtual_time() {
+    let serve = ServeConfig {
+        chips: 2,
+        backend: matrix_backend(),
+        ..ServeConfig::default()
+    };
+    let runtime = ServeRuntime::from_plans(plans().clone(), serve);
+    let config = FleetConfig {
+        shards: 1,
+        scaling: Some(ScalingConfig {
+            check_interval_cycles: 1 << 63,
+            ..ScalingConfig::default()
+        }),
+        ..FleetConfig::default()
+    };
+    let request = TraceRequest {
+        model: 0,
+        arrival_cycles: (1 << 63) + 1,
+        deadline_cycles: u64::MAX,
+        slo: SloClass::Standard,
+    };
+    let report = FleetSession::serve_trace(&runtime, config, FaultPlan::none(), &[request]);
+    assert_eq!(report.serve.served_requests, 1);
+    // The one check at 2^63 saw an idle shard and drained a worker; the
+    // next would fall at 2^64.
+    assert_eq!(report.availability.scale_downs, 1);
+    assert_eq!(report.availability.scale_ups, 0);
+}
+
 #[test]
 fn by_model_routing_keeps_each_model_on_one_shard() {
     let serve = ServeConfig {

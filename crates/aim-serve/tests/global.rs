@@ -513,6 +513,55 @@ fn retried_requests_are_served_after_failback() {
     );
 }
 
+/// Plan events apply before the transitions and retries of the same cycle.
+/// Region 1, the only holder of model 1, is down when a request for it
+/// arrives; the request's single retry falls on the cycle region 1
+/// recovers, so it is served.  Retrying first would find no holder and shed
+/// it.
+#[test]
+fn a_recovery_applies_before_the_retry_of_its_cycle() {
+    let layout = vec![vec![0], vec![1]];
+    let runtimes = runtimes_for(&layout, matrix_backend(), 0x7E5);
+    let config = GlobalConfig {
+        retry: RetryConfig {
+            max_attempts: 1,
+            backoff_base_cycles: 2_000,
+            backoff_multiplier: 1,
+        },
+        suspect_grace_cycles: 0,
+        ..GlobalConfig::default()
+    };
+    let plan = RegionFaultPlan::new(vec![
+        RegionFaultEvent {
+            at_cycles: 1_000,
+            kind: RegionFaultKind::RegionOutage { region: 1 },
+        },
+        RegionFaultEvent {
+            at_cycles: 4_000,
+            kind: RegionFaultKind::RegionRecovery { region: 1 },
+        },
+    ]);
+    let request = TraceRequest {
+        model: 1,
+        arrival_cycles: 2_000,
+        deadline_cycles: 100_000_000,
+        slo: SloClass::Standard,
+    };
+    let report = GlobalRouter::serve_trace(
+        specs_for(&layout, &runtimes, 1),
+        MODELS,
+        config,
+        plan,
+        &[request],
+    );
+    assert_eq!(report.availability.retries_scheduled, 1);
+    assert_eq!(
+        report.availability.requests_shed, 0,
+        "the retry at the recovery's cycle must run after the recovery"
+    );
+    assert_eq!(report.summary.served_requests, 1);
+}
+
 #[test]
 fn placement_layouts_round_robin_and_count_replicas() {
     let layout = place_models(3, 2, 2);
