@@ -42,8 +42,12 @@
 //! Every stage of every submitted DAG resolves exactly once: `Served` or
 //! `Rejected` through the fleet, or `Shed` by the orchestrator (whole-DAG
 //! admission, a failed sibling stage, or [`DagOrchestrator::evict_pending`]).
-//! The drained [`FleetReport::dag`] stats pin `served + rejected + shed ==
-//! stages_total` and `completed + failed == dags`.
+//! Each instance keeps one state per stage (waiting, submitted, served,
+//! rejected or shed) and no other ledger: a DAG has failed once a stage was
+//! rejected or shed, and [`DagOrchestrator::drain`] folds the
+//! [`FleetReport::dag`] stats from those states.  So `served + rejected +
+//! shed == stages_total` and `completed + failed == dags` hold by
+//! construction.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -53,7 +57,7 @@ use workloads::dag::{DagRequest, DagTemplate, SessionItem, SessionItemKind};
 use workloads::inputs::{FaultPlan, SloClass, TraceRequest};
 
 use crate::fleet::{FleetConfig, FleetReport, FleetSession};
-use crate::report::DagAccumulator;
+use crate::report::{DagClassStats, DagServeStats, LatencySketch};
 use crate::runtime::ServeRuntime;
 use crate::scheduler::{split_dag_deadline, AdmissionConfig, CostModel};
 use crate::session::CompletionStatus;
@@ -126,7 +130,23 @@ enum SubmissionRef {
     Stage { item: usize, stage: usize },
 }
 
-/// Orchestrator-side state of one live DAG instance.
+/// Where one stage of a DAG instance stands.  It is the only per-stage
+/// record: the DAG's fate and every [`DagServeStats`] counter derive from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StageState {
+    /// Not submitted yet: parents pending, or dependency-ready in `ready`.
+    Waiting,
+    /// Handed to the fleet, not resolved yet.
+    Submitted,
+    /// Served by the fleet, finishing at this cycle.
+    Served(u64),
+    /// Bounced by the fleet's per-stage admission.
+    Rejected,
+    /// Shed by the orchestrator without the fleet resolving it.
+    Shed,
+}
+
+/// Orchestrator-side state of one DAG instance.
 #[derive(Debug)]
 struct DagInstance {
     template: usize,
@@ -139,19 +159,21 @@ struct DagInstance {
     stage_deadlines: Vec<u64>,
     /// Think gaps of this instance.
     gaps: Vec<u64>,
-    submitted: Vec<bool>,
-    resolved: Vec<bool>,
+    states: Vec<StageState>,
     /// Parents still unserved, per stage.
     pending_parents: Vec<usize>,
     /// Running `max(parent finish + gap)` per stage — the dependency-ready
     /// time once `pending_parents` hits zero.
     child_ready: Vec<u64>,
-    /// Stages not yet resolved.
-    unresolved: usize,
-    /// A stage was rejected or shed: no further submissions for this DAG.
-    failed: bool,
-    /// Latest measured stage finish (the end-to-end completion time).
-    max_finish: u64,
+}
+
+impl DagInstance {
+    /// Whether a stage was rejected or shed: the DAG submits nothing more.
+    fn failed(&self) -> bool {
+        self.states
+            .iter()
+            .any(|s| matches!(s, StageState::Rejected | StageState::Shed))
+    }
 }
 
 /// One submitted item: a point request or a DAG instance.
@@ -180,7 +202,6 @@ pub struct DagOrchestrator<'rt> {
     /// submission order.
     ready: BTreeSet<(u64, usize, usize)>,
     outcomes: VecDeque<StageOutcome>,
-    acc: DagAccumulator,
     drained: bool,
 }
 
@@ -214,7 +235,6 @@ impl<'rt> DagOrchestrator<'rt> {
             submissions: Vec::new(),
             ready: BTreeSet::new(),
             outcomes: VecDeque::new(),
-            acc: DagAccumulator::new(),
             drained: false,
         }
     }
@@ -263,7 +283,6 @@ impl<'rt> DagOrchestrator<'rt> {
         self.pump(request.arrival_cycles);
         let item = self.items.len();
         self.items.push(Item::Point { resolved: false });
-        self.acc.note_point();
         self.submissions.push(SubmissionRef::Point { item });
         self.fleet.submit(request);
         item
@@ -298,93 +317,51 @@ impl<'rt> DagOrchestrator<'rt> {
         // state regardless of caller stepping.
         self.pump(dag.arrival_cycles);
 
-        let item = self.items.len();
-        self.acc.note_dag(dag.slo, stages);
-
-        if let Some(admission) = self.config.admission {
+        // Whole-DAG admission sheds every stage rather than orphan a
+        // mid-DAG stage in a fleet that cannot take the rest.
+        let shed = self.config.admission.is_some_and(|admission| {
             self.fleet.observe_until(dag.arrival_cycles);
             let backlog: u64 = self
                 .fleet
                 .class_backlog_cycles()
                 .iter()
                 .fold(0u64, |a, &b| a.saturating_add(b));
-            let mean_per_shard = backlog / self.fleet.shards() as u64;
-            if mean_per_shard > admission.cap_for(dag.slo) {
-                // Shed the whole DAG: never orphan a mid-DAG stage.
-                for stage in 0..stages {
-                    self.outcomes.push_back(StageOutcome {
-                        item,
-                        stage,
-                        stages,
-                        dag: true,
-                        model: template.stages[stage].model,
-                        class: template.own_class(stage, dag.slo),
-                        status: StageStatus::Shed,
-                    });
-                    self.acc.absorb_stage_shed();
-                }
-                self.acc.absorb_dag_failed();
-                self.items.push(Item::Dag(Box::new(DagInstance {
-                    template: dag.template,
-                    arrival: dag.arrival_cycles,
-                    deadline: dag.deadline_cycles,
-                    class: dag.slo,
-                    effective: Vec::new(),
-                    stage_deadlines: Vec::new(),
-                    gaps: Vec::new(),
-                    submitted: vec![false; stages],
-                    resolved: vec![true; stages],
-                    pending_parents: Vec::new(),
-                    child_ready: Vec::new(),
-                    unresolved: 0,
-                    failed: true,
-                    max_finish: 0,
-                })));
-                return item;
-            }
-        }
-
-        let effective = if self.config.inherit_priority {
+            backlog / self.fleet.shards() as u64 > admission.cap_for(dag.slo)
+        });
+        let effective = if self.config.inherit_priority && !shed {
             template.inherited_classes(dag.slo)
         } else {
             (0..stages)
                 .map(|s| template.own_class(s, dag.slo))
                 .collect()
         };
-        for (stage, &class) in effective.iter().enumerate() {
-            if class > template.own_class(stage, dag.slo) {
-                self.acc.note_promotion();
-            }
-        }
-        let stage_deadlines = split_dag_deadline(
-            &template,
-            &dag.stage_gaps,
-            &self.cost,
-            dag.arrival_cycles,
-            dag.deadline_cycles,
-        );
-        let pending_parents: Vec<usize> = template.stages.iter().map(|s| s.parents.len()).collect();
-        let instance = DagInstance {
+        let item = self.items.len();
+        self.items.push(Item::Dag(Box::new(DagInstance {
             template: dag.template,
             arrival: dag.arrival_cycles,
             deadline: dag.deadline_cycles,
             class: dag.slo,
             effective,
-            stage_deadlines,
+            stage_deadlines: split_dag_deadline(
+                &template,
+                &dag.stage_gaps,
+                &self.cost,
+                dag.arrival_cycles,
+                dag.deadline_cycles,
+            ),
             gaps: dag.stage_gaps.clone(),
-            submitted: vec![false; stages],
-            resolved: vec![false; stages],
-            pending_parents: pending_parents.clone(),
+            states: vec![StageState::Waiting; stages],
+            pending_parents: template.stages.iter().map(|s| s.parents.len()).collect(),
             child_ready: vec![dag.arrival_cycles; stages],
-            unresolved: stages,
-            failed: false,
-            max_finish: 0,
-        };
-        self.items.push(Item::Dag(Box::new(instance)));
+        })));
+        if shed {
+            self.fail_dag(item);
+            return item;
+        }
         // Root stages issue at the DAG's arrival (their think gap, if any,
         // is ignored — a gap models the pause *after* a parent completes).
-        for (stage, &parents) in pending_parents.iter().enumerate() {
-            if parents == 0 {
+        for (stage, spec) in template.stages.iter().enumerate() {
+            if spec.parents.is_empty() {
                 self.submit_stage(item, stage, dag.arrival_cycles);
             }
         }
@@ -441,7 +418,6 @@ impl<'rt> DagOrchestrator<'rt> {
                 SubmissionRef::Stage { item, stage } => {
                     self.resolve_shed_stage(item, stage);
                     self.fail_dag(item);
-                    self.finalize_if_done(item);
                 }
             }
         }
@@ -450,7 +426,7 @@ impl<'rt> DagOrchestrator<'rt> {
 
     /// Walks every remaining canonical event, drains the fleet and freezes
     /// the report with the DAG-level stats attached
-    /// ([`FleetReport::dag`]).
+    /// ([`FleetReport::dag`]), folded from every item's stage states.
     ///
     /// # Panics
     ///
@@ -461,8 +437,85 @@ impl<'rt> DagOrchestrator<'rt> {
         self.drained = true;
         debug_assert!(self.ready.is_empty(), "drain leaves no stage unsubmitted");
         let mut report = self.fleet.drain();
-        report.dag = Some(self.acc.finish());
+        report.dag = Some(self.stats());
         report
+    }
+
+    /// Folds the DAG-level stats from the items: a DAG completed when every
+    /// stage served, its end-to-end latency running to the last stage's
+    /// finish, and a stage was promoted when its submitted class is above
+    /// its own.  Each drained stage lands in exactly one of the served,
+    /// rejected and shed counts, and each DAG is completed or failed.
+    fn stats(&self) -> DagServeStats {
+        let mut e2e: [LatencySketch; 3] = Default::default();
+        let (mut totals, mut misses) = ([0usize; 3], [0usize; 3]);
+        let (mut points, mut promotions) = (0, 0);
+        let (mut served, mut rejected, mut shed) = (0, 0, 0);
+        for item in &self.items {
+            let Item::Dag(dag) = item else {
+                points += 1;
+                continue;
+            };
+            let template = &self.templates[dag.template];
+            let class = dag.class.index();
+            totals[class] += 1;
+            promotions += (0..dag.effective.len())
+                .filter(|&s| dag.effective[s] > template.own_class(s, dag.class))
+                .count();
+            for state in &dag.states {
+                match state {
+                    StageState::Served(_) => served += 1,
+                    StageState::Rejected => rejected += 1,
+                    StageState::Shed => shed += 1,
+                    StageState::Waiting | StageState::Submitted => {
+                        unreachable!("drain resolves every stage")
+                    }
+                }
+            }
+            let last_finish = dag.states.iter().try_fold(0, |last, state| match *state {
+                StageState::Served(at) => Some(last.max(at)),
+                _ => None,
+            });
+            if let Some(finish) = last_finish {
+                e2e[class].record(finish.saturating_sub(dag.arrival));
+                misses[class] += usize::from(finish > dag.deadline);
+            }
+        }
+        let mut overall = LatencySketch::new();
+        for sketch in &e2e {
+            overall.merge(sketch);
+        }
+        let dags: usize = totals.iter().sum();
+        let completed = overall.count() as usize;
+        DagServeStats {
+            dags,
+            completed,
+            failed: dags - completed,
+            deadline_misses: misses.iter().sum(),
+            stages_total: served + rejected + shed,
+            stages_served: served,
+            stages_rejected: rejected,
+            stages_shed: shed,
+            inherited_promotions: promotions,
+            points,
+            e2e_p50_cycles: overall.percentile(0.50),
+            e2e_p99_cycles: overall.percentile(0.99),
+            e2e_max_cycles: overall.max(),
+            per_class: SloClass::ALL
+                .iter()
+                .map(|&class| {
+                    let sketch = &e2e[class.index()];
+                    DagClassStats {
+                        class,
+                        total: totals[class.index()],
+                        completed: sketch.count() as usize,
+                        deadline_misses: misses[class.index()],
+                        e2e_p50_cycles: sketch.percentile(0.50),
+                        e2e_p99_cycles: sketch.percentile(0.99),
+                    }
+                })
+                .collect(),
+        }
     }
 
     // --- the canonical event walk ------------------------------------------
@@ -499,8 +552,8 @@ impl<'rt> DagOrchestrator<'rt> {
         let Item::Dag(instance) = &mut self.items[item] else {
             unreachable!("stages only exist on DAG items");
         };
-        debug_assert!(!instance.failed, "failed DAGs never submit");
-        instance.submitted[stage] = true;
+        debug_assert!(!instance.failed(), "failed DAGs never submit");
+        instance.states[stage] = StageState::Submitted;
         let request = TraceRequest {
             model: self.templates[instance.template].stages[stage].model,
             arrival_cycles: ready_at,
@@ -542,8 +595,8 @@ impl<'rt> DagOrchestrator<'rt> {
         }
     }
 
-    /// Resolves one fleet-completed stage: bookkeeping, child fan-out on a
-    /// serve, whole-DAG failure on a rejection.
+    /// Resolves one fleet-completed stage: child fan-out on a serve,
+    /// whole-DAG failure on a rejection.
     fn resolve_fleet_stage(
         &mut self,
         item: usize,
@@ -554,14 +607,15 @@ impl<'rt> DagOrchestrator<'rt> {
         let Item::Dag(instance) = &mut self.items[item] else {
             unreachable!("stage submission maps to a DAG item");
         };
-        debug_assert!(!instance.resolved[stage], "stage resolved twice");
-        instance.resolved[stage] = true;
-        instance.unresolved -= 1;
-        let stages = instance.submitted.len();
+        debug_assert_eq!(
+            instance.states[stage],
+            StageState::Submitted,
+            "stage resolved twice"
+        );
         self.outcomes.push_back(StageOutcome {
             item,
             stage,
-            stages,
+            stages: instance.states.len(),
             dag: true,
             model: self.templates[instance.template].stages[stage].model,
             class: instance.effective[stage],
@@ -569,9 +623,8 @@ impl<'rt> DagOrchestrator<'rt> {
         });
         match status {
             CompletionStatus::Served { finish_cycles, .. } => {
-                self.acc.absorb_stage_served();
-                instance.max_finish = instance.max_finish.max(finish_cycles);
-                if !instance.failed {
+                instance.states[stage] = StageState::Served(finish_cycles);
+                if !instance.failed() {
                     let children = &self.children[instance.template][stage];
                     for &child in children {
                         let ready = finish_cycles.saturating_add(instance.gaps[child]);
@@ -585,11 +638,10 @@ impl<'rt> DagOrchestrator<'rt> {
                 }
             }
             CompletionStatus::Rejected { .. } => {
-                self.acc.absorb_stage_rejected();
+                instance.states[stage] = StageState::Rejected;
                 self.fail_dag(item);
             }
         }
-        self.finalize_if_done(item);
     }
 
     /// Marks one never-to-run stage `Shed` (exactly once).
@@ -597,63 +649,42 @@ impl<'rt> DagOrchestrator<'rt> {
         let Item::Dag(instance) = &mut self.items[item] else {
             unreachable!("stage submission maps to a DAG item");
         };
-        assert!(!instance.resolved[stage], "stage shed twice");
-        instance.resolved[stage] = true;
-        instance.unresolved -= 1;
-        let stages = instance.submitted.len();
+        assert!(
+            matches!(
+                instance.states[stage],
+                StageState::Waiting | StageState::Submitted
+            ),
+            "stage shed twice"
+        );
+        instance.states[stage] = StageState::Shed;
         self.outcomes.push_back(StageOutcome {
             item,
             stage,
-            stages,
+            stages: instance.states.len(),
             dag: true,
             model: self.templates[instance.template].stages[stage].model,
             class: instance.effective[stage],
             status: StageStatus::Shed,
         });
-        self.acc.absorb_stage_shed();
     }
 
     /// Fails a DAG: stops all future submissions and sheds every stage that
     /// was never submitted (in-flight stages still resolve via the fleet).
+    /// A DAG that already failed has no waiting stage left, so this is then
+    /// a no-op.
     fn fail_dag(&mut self, item: usize) {
-        {
-            let Item::Dag(instance) = &mut self.items[item] else {
-                unreachable!("only DAG items fail");
-            };
-            if instance.failed {
-                return;
-            }
-            instance.failed = true;
-        }
-        self.ready.retain(|&(_, i, _)| i != item);
-        let to_shed: Vec<usize> = {
-            let Item::Dag(instance) = &self.items[item] else {
-                unreachable!()
-            };
-            (0..instance.submitted.len())
-                .filter(|&s| !instance.submitted[s] && !instance.resolved[s])
-                .collect()
-        };
-        for stage in to_shed {
-            self.resolve_shed_stage(item, stage);
-        }
-    }
-
-    /// Absorbs the whole-DAG verdict once every stage has resolved.
-    fn finalize_if_done(&mut self, item: usize) {
         let Item::Dag(instance) = &self.items[item] else {
-            unreachable!("only DAG items finalize");
+            unreachable!("only DAG items fail");
         };
-        if instance.unresolved > 0 {
+        let waiting: Vec<usize> = (0..instance.states.len())
+            .filter(|&s| instance.states[s] == StageState::Waiting)
+            .collect();
+        if waiting.is_empty() {
             return;
         }
-        if instance.failed {
-            self.acc.absorb_dag_failed();
-        } else {
-            let e2e = instance.max_finish.saturating_sub(instance.arrival);
-            let missed = instance.max_finish > instance.deadline;
-            let class = instance.class;
-            self.acc.absorb_dag_completed(class, e2e, missed);
+        self.ready.retain(|&(_, i, _)| i != item);
+        for stage in waiting {
+            self.resolve_shed_stage(item, stage);
         }
     }
 }

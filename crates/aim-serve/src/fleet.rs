@@ -11,7 +11,8 @@
 //! [`ReportAccumulator::merge`] and layers availability metrics on top:
 //! requests failed over, chip-seconds of capacity lost (derived at drain
 //! from the health changes and deaths the shards' chips record), per-class
-//! SLO attainment under faults.
+//! SLO attainment under faults.  The fault counts come from the fault plan,
+//! which drain has fully applied; the fleet keeps no fault counters.
 //!
 //! ## Determinism under chaos
 //!
@@ -125,14 +126,6 @@ impl Default for ScalingConfig {
 }
 
 impl ScalingConfig {
-    /// Starts a builder seeded with [`ScalingConfig::default`].
-    #[must_use]
-    pub fn builder() -> ScalingConfigBuilder {
-        ScalingConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// Rejects degenerate policies at construction time rather than letting
     /// them surface as scheduling anomalies mid-run.
     ///
@@ -150,68 +143,6 @@ impl ScalingConfig {
             "hysteresis requires scale_down < scale_up"
         );
         assert!(self.min_workers >= 1, "min_workers must be at least 1");
-    }
-}
-
-/// Builder for [`ScalingConfig`]; [`build`](Self::build) validates, so an
-/// inverted hysteresis band or a zero floor fails where it is written.
-#[derive(Debug, Clone)]
-pub struct ScalingConfigBuilder {
-    config: ScalingConfig,
-}
-
-impl ScalingConfigBuilder {
-    /// Sets the virtual cycles between scaling decisions.
-    #[must_use]
-    pub fn check_interval_cycles(mut self, cycles: u64) -> Self {
-        self.config.check_interval_cycles = cycles;
-        self
-    }
-
-    /// Sets the pressure above which a shard activates one more worker.
-    #[must_use]
-    pub fn scale_up_backlog_cycles(mut self, cycles: u64) -> Self {
-        self.config.scale_up_backlog_cycles = cycles;
-        self
-    }
-
-    /// Sets the pressure below which a shard drains one worker.
-    #[must_use]
-    pub fn scale_down_backlog_cycles(mut self, cycles: u64) -> Self {
-        self.config.scale_down_backlog_cycles = cycles;
-        self
-    }
-
-    /// Sets the floor of dispatch-eligible workers per shard.
-    #[must_use]
-    pub fn min_workers(mut self, workers: usize) -> Self {
-        self.config.min_workers = workers;
-        self
-    }
-
-    /// Sets the ceiling of dispatch-eligible workers per shard (0 = all).
-    #[must_use]
-    pub fn max_workers(mut self, workers: usize) -> Self {
-        self.config.max_workers = workers;
-        self
-    }
-
-    /// Sets the per-class pressure weights (ascending priority order).
-    #[must_use]
-    pub fn class_weights(mut self, weights: [u64; 3]) -> Self {
-        self.config.class_weights = weights;
-        self
-    }
-
-    /// Finishes the builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy is degenerate — see [`ScalingConfig::validate`].
-    #[must_use]
-    pub fn build(self) -> ScalingConfig {
-        self.config.validate();
-        self.config
     }
 }
 
@@ -347,9 +278,6 @@ pub struct FleetSession<'rt> {
     /// instead of the caller's stepping pattern.
     horizon: u64,
     next_shard_rr: usize,
-    chip_deaths: usize,
-    degradations: usize,
-    recoveries: usize,
     scale_ups: usize,
     scale_downs: usize,
     peak_workers: usize,
@@ -415,7 +343,7 @@ impl<'rt> FleetSession<'rt> {
         }
         // Fault times are data, so they seed the horizon up front; arrivals
         // extend it as they are submitted.
-        let horizon = faults.events.last().map_or(0, |e| e.at_cycles);
+        let horizon = faults.events.iter().map(|e| e.at_cycles).max().unwrap_or(0);
         Self {
             runtime,
             config,
@@ -427,9 +355,6 @@ impl<'rt> FleetSession<'rt> {
             events,
             horizon,
             next_shard_rr: 0,
-            chip_deaths: 0,
-            degradations: 0,
-            recoveries: 0,
             scale_ups: 0,
             scale_downs: 0,
             peak_workers,
@@ -613,10 +538,10 @@ impl<'rt> FleetSession<'rt> {
         let (mut groups_failed_over, mut requests_failed_over) = (0usize, 0usize);
         let mut merged: Option<ReportAccumulator> = None;
         for session in &mut self.shards {
+            let acc = session.drain_accumulator();
             let (groups, requests) = session.failed_over();
             groups_failed_over += groups;
             requests_failed_over += requests;
-            let acc = session.drain_accumulator();
             match &mut merged {
                 None => merged = Some(acc),
                 Some(m) => m.merge(acc),
@@ -644,12 +569,16 @@ impl<'rt> FleetSession<'rt> {
                 },
             })
             .collect();
+        // Drain applied every fault, so the plan is the fault ledger.
+        let applied = |kind: fn(&FaultKind) -> bool| {
+            self.faults.events.iter().filter(|e| kind(&e.kind)).count()
+        };
         let availability = AvailabilityStats {
             shards: self.shards.len(),
-            faults_injected: self.chip_deaths + self.degradations + self.recoveries,
-            chip_deaths: self.chip_deaths,
-            degradations: self.degradations,
-            recoveries: self.recoveries,
+            faults_injected: self.faults.events.len(),
+            chip_deaths: applied(|k| matches!(k, FaultKind::ChipDeath { .. })),
+            degradations: applied(|k| matches!(k, FaultKind::Degradation { .. })),
+            recoveries: applied(|k| matches!(k, FaultKind::Recovery { .. })),
             groups_failed_over,
             requests_failed_over,
             chip_cycles_lost,
@@ -750,7 +679,6 @@ impl<'rt> FleetSession<'rt> {
         match event.kind {
             FaultKind::ChipDeath { shard, chip } => {
                 self.shards[shard].kill_chip(chip, at);
-                self.chip_deaths += 1;
             }
             FaultKind::Degradation {
                 shard,
@@ -762,11 +690,9 @@ impl<'rt> FleetSession<'rt> {
                     ChipHealth::Degraded { slowdown_percent },
                     at,
                 );
-                self.degradations += 1;
             }
             FaultKind::Recovery { shard, chip } => {
                 self.shards[shard].set_chip_health(chip, ChipHealth::Healthy, at);
-                self.recoveries += 1;
             }
         }
         self.peak_workers = self.peak_workers.max(self.active_workers());

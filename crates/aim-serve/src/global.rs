@@ -46,7 +46,11 @@
 //! last two in scheduling order.  Report bytes are therefore invariant to
 //! stepping granularity and polling order, exactly like the layers below.
 //! Each region records its health once, as a `(since, health)` history; the
-//! per-state cycles and the Down windows are derived from it at drain.
+//! per-state cycles and the Down windows are derived from it at drain.  The
+//! router keeps no counters either: the region-event counts come from the
+//! plan, which drain has fully applied, and the migration, retry and shed
+//! counts from each request's track (its evictions, attempts and
+//! resolution).
 //!
 //! ## Retry budgets and graceful degradation
 //!
@@ -131,14 +135,6 @@ impl Default for RetryConfig {
 }
 
 impl RetryConfig {
-    /// Starts a builder seeded with [`RetryConfig::default`].
-    #[must_use]
-    pub fn builder() -> RetryConfigBuilder {
-        RetryConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// Rejects degenerate retry policies at construction time.
     ///
     /// # Panics
@@ -166,47 +162,6 @@ impl RetryConfig {
     pub fn backoff_cycles(&self, attempt: u32) -> u64 {
         let factor = u64::from(self.backoff_multiplier).saturating_pow(attempt.saturating_sub(1));
         self.backoff_base_cycles.saturating_mul(factor)
-    }
-}
-
-/// Builder for [`RetryConfig`]; [`build`](Self::build) validates, so a zero
-/// budget fails where it is written.
-#[derive(Debug, Clone)]
-pub struct RetryConfigBuilder {
-    config: RetryConfig,
-}
-
-impl RetryConfigBuilder {
-    /// Sets the re-routing attempts a request may consume.
-    #[must_use]
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.config.max_attempts = attempts;
-        self
-    }
-
-    /// Sets the backoff before the first retry, in virtual cycles.
-    #[must_use]
-    pub fn backoff_base_cycles(mut self, cycles: u64) -> Self {
-        self.config.backoff_base_cycles = cycles;
-        self
-    }
-
-    /// Sets the exponential backoff factor.
-    #[must_use]
-    pub fn backoff_multiplier(mut self, multiplier: u32) -> Self {
-        self.config.backoff_multiplier = multiplier;
-        self
-    }
-
-    /// Finishes the builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy is degenerate — see [`RetryConfig::validate`].
-    #[must_use]
-    pub fn build(self) -> RetryConfig {
-        self.config.validate();
-        self.config
     }
 }
 
@@ -517,10 +472,7 @@ pub struct GlobalReport {
 /// How one tracked request was finally resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Resolved {
-    Served {
-        deadline_missed: bool,
-        migrated: bool,
-    },
+    Served { deadline_missed: bool },
     Rejected,
     Shed,
 }
@@ -596,15 +548,11 @@ pub struct GlobalRouter<'rt> {
     /// it (the [`FleetSession`] horizon rule, one level up).
     horizon: u64,
     drained: bool,
+    /// Every submitted request's record: the only per-request ledger the
+    /// router keeps.
     tracks: Vec<RequestTrack>,
     next_seq: u64,
     completions: Vec<GlobalOutcome>,
-    outages: usize,
-    recoveries: usize,
-    flash_crowds: usize,
-    migration_events: usize,
-    retries_scheduled: usize,
-    shed_by_class: [usize; 3],
 }
 
 impl<'rt> GlobalRouter<'rt> {
@@ -693,12 +641,6 @@ impl<'rt> GlobalRouter<'rt> {
             tracks: Vec::new(),
             next_seq: 0,
             completions: Vec::new(),
-            outages: 0,
-            recoveries: 0,
-            flash_crowds: 0,
-            migration_events: 0,
-            retries_scheduled: 0,
-            shed_by_class: [0; 3],
         }
     }
 
@@ -724,16 +666,6 @@ impl<'rt> GlobalRouter<'rt> {
     #[must_use]
     pub fn config(&self) -> &GlobalConfig {
         &self.config
-    }
-
-    /// Current health of `region`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range.
-    #[must_use]
-    pub fn region_health(&self, region: usize) -> RegionHealth {
-        self.regions[region].health()
     }
 
     /// Accepts one request at the router's virtual "now" and routes it.
@@ -857,7 +789,14 @@ impl<'rt> GlobalRouter<'rt> {
         let mut window_good = [0usize; 3];
         let mut requests_migrated = 0usize;
         let mut migrated_and_served = 0usize;
+        let (mut migration_events, mut retries_scheduled) = (0usize, 0usize);
+        let mut shed_by_class = [0usize; 3];
         for track in &self.tracks {
+            migration_events += track.evictions as usize;
+            retries_scheduled += track.attempts as usize;
+            if track.resolved == Some(Resolved::Shed) {
+                shed_by_class[track.request.slo.index()] += 1;
+            }
             if track.evictions > 0 {
                 requests_migrated += 1;
                 if matches!(track.resolved, Some(Resolved::Served { .. })) {
@@ -873,13 +812,11 @@ impl<'rt> GlobalRouter<'rt> {
             }
             let class = track.request.slo.index();
             window_total[class] += 1;
-            if matches!(
-                track.resolved,
-                Some(Resolved::Served {
+            if track.resolved
+                == Some(Resolved::Served {
                     deadline_missed: false,
-                    ..
                 })
-            ) {
+            {
                 window_good[class] += 1;
             }
         }
@@ -901,7 +838,11 @@ impl<'rt> GlobalRouter<'rt> {
             .map(|r| r.fleet.serve.rejected_requests)
             .sum();
         let deadline_misses: usize = regions.iter().map(|r| r.fleet.serve.deadline_misses).sum();
-        let shed_requests: usize = self.shed_by_class.iter().sum();
+        let shed_requests: usize = shed_by_class.iter().sum();
+        // Drain applied every plan event, so the plan is the event ledger.
+        let applied = |kind: fn(&RegionFaultKind) -> bool| {
+            self.plan.events.iter().filter(|e| kind(&e.kind)).count()
+        };
         let cal_total = |f: fn(&crate::report::CalibrationStats) -> u64| -> u64 {
             regions
                 .iter()
@@ -918,16 +859,16 @@ impl<'rt> GlobalRouter<'rt> {
             },
             availability: GlobalAvailability {
                 regions: regions.len(),
-                region_faults_applied: self.outages + self.recoveries + self.flash_crowds,
-                outages: self.outages,
-                recoveries: self.recoveries,
-                flash_crowd_events: self.flash_crowds,
+                region_faults_applied: self.plan.events.len(),
+                outages: applied(|k| matches!(k, RegionFaultKind::RegionOutage { .. })),
+                recoveries: applied(|k| matches!(k, RegionFaultKind::RegionRecovery { .. })),
+                flash_crowd_events: applied(|k| matches!(k, RegionFaultKind::FlashCrowd { .. })),
                 requests_migrated,
-                migration_events: self.migration_events,
+                migration_events,
                 migrated_and_served,
-                retries_scheduled: self.retries_scheduled,
+                retries_scheduled,
                 requests_shed: shed_requests,
-                shed_by_class: self.shed_by_class,
+                shed_by_class,
                 region_cycles_lost,
                 region_seconds_lost,
                 outage_window_requests: window_total.iter().sum(),
@@ -1000,7 +941,6 @@ impl<'rt> GlobalRouter<'rt> {
         let event = self.plan.events[index];
         match event.kind {
             RegionFaultKind::RegionOutage { region } => {
-                self.outages += 1;
                 self.set_health(region, RegionHealth::Suspect, event.at_cycles);
                 let down_at = event
                     .at_cycles
@@ -1008,7 +948,6 @@ impl<'rt> GlobalRouter<'rt> {
                 self.schedule_transition(down_at, region, RegionHealth::Down);
             }
             RegionFaultKind::RegionRecovery { region } => {
-                self.recoveries += 1;
                 // Recovery may land while still Suspect (inside the grace
                 // window): the history moving on cancels the pending Down.
                 self.set_health(region, RegionHealth::Recovering, event.at_cycles);
@@ -1017,11 +956,9 @@ impl<'rt> GlobalRouter<'rt> {
                     .saturating_add(self.config.recovery_warmup_cycles);
                 self.schedule_transition(healthy_at, region, RegionHealth::Healthy);
             }
-            RegionFaultKind::FlashCrowd { .. } => {
-                // The surge's traffic was materialised into the trace by
-                // `with_flash_crowds`; the router only counts the event.
-                self.flash_crowds += 1;
-            }
+            // The surge's traffic was materialised into the trace by
+            // `with_flash_crowds`; the report counts the event from the plan.
+            RegionFaultKind::FlashCrowd { .. } => {}
         }
     }
 
@@ -1067,7 +1004,6 @@ impl<'rt> GlobalRouter<'rt> {
             for (fleet_index, _) in evicted {
                 let id = self.regions[region].submitted_map[fleet_index];
                 self.tracks[id].evictions += 1;
-                self.migration_events += 1;
                 self.route(id, at);
             }
         }
@@ -1163,7 +1099,6 @@ impl<'rt> GlobalRouter<'rt> {
         }
         self.tracks[id].attempts += 1;
         let backoff = self.config.retry.backoff_cycles(self.tracks[id].attempts);
-        self.retries_scheduled += 1;
         self.schedule(at.saturating_add(backoff), |seq| Event::Retry { seq, id });
     }
 
@@ -1171,7 +1106,6 @@ impl<'rt> GlobalRouter<'rt> {
     fn shed(&mut self, id: usize, reason: ShedReason) {
         let track = &mut self.tracks[id];
         track.resolved = Some(Resolved::Shed);
-        self.shed_by_class[track.request.slo.index()] += 1;
         self.completions.push(GlobalOutcome {
             request: id,
             model: track.request.model,
@@ -1198,17 +1132,13 @@ impl<'rt> GlobalRouter<'rt> {
                         failed_over,
                         ..
                     } => {
-                        let migrated = track.evictions > 0 || track.attempts > 0;
-                        track.resolved = Some(Resolved::Served {
-                            deadline_missed,
-                            migrated,
-                        });
+                        track.resolved = Some(Resolved::Served { deadline_missed });
                         GlobalStatus::Served {
                             region,
                             latency_cycles: finish_cycles
                                 .saturating_sub(track.request.arrival_cycles),
                             deadline_missed,
-                            migrated,
+                            migrated: track.evictions > 0 || track.attempts > 0,
                             failed_over,
                         }
                     }

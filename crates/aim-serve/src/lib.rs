@@ -131,7 +131,7 @@ pub use fleet::{
 pub use global::{
     place_models, GlobalAvailability, GlobalConfig, GlobalOutcome, GlobalReport, GlobalRouter,
     GlobalStatus, GlobalSummary, PlacementStats, RegionHealth, RegionReport, RegionSpec,
-    RetryConfig, RetryConfigBuilder, RoutePolicy, ShedPolicy, ShedReason,
+    RetryConfig, RoutePolicy, ShedPolicy, ShedReason,
 };
 pub use report::{
     CalibrationStats, ChipServeStats, ClassServeStats, DagClassStats, DagServeStats, LatencySketch,
@@ -153,7 +153,7 @@ pub mod prelude {
     pub use crate::global::{
         place_models, GlobalAvailability, GlobalConfig, GlobalOutcome, GlobalReport, GlobalRouter,
         GlobalStatus, GlobalSummary, PlacementStats, RegionHealth, RegionReport, RegionSpec,
-        RetryConfig, RetryConfigBuilder, RoutePolicy, ShedPolicy, ShedReason,
+        RetryConfig, RoutePolicy, ShedPolicy, ShedReason,
     };
     pub use crate::report::{
         CalibrationStats, ChipServeStats, ClassServeStats, DagClassStats, DagServeStats,

@@ -11,6 +11,12 @@
 //! order-free (integer sums, maxima, element-wise bucket adds), which is
 //! what makes [`ReportAccumulator::merge`] byte-stable across shard
 //! groupings.
+//!
+//! Each request is recorded once, in its SLO class's row; the overall
+//! totals and latency sketch are the sums of the three rows, formed in
+//! [`ReportAccumulator::finish`].  The fleet, router and DAG layers keep no
+//! ledger of their own either: [`DagServeStats`] and the availability
+//! reports are folded at drain from the state those layers already hold.
 
 use serde::{Deserialize, Serialize};
 
@@ -494,13 +500,11 @@ pub struct ReportAccumulator {
     analytical_chips: usize,
     verify_enabled: bool,
     fleet_error_bound: f64,
-    total_requests: usize,
-    rejected_requests: usize,
-    deadline_misses: usize,
     groups_formed: usize,
     makespan_cycles: u64,
-    latencies: LatencySketch,
     per_chip: Vec<ChipServeStats>,
+    /// The only request ledger: one row per class, ascending priority.
+    /// The overall totals and latency sketch are their sums.
     per_class: Vec<ClassAcc>,
     exec: ExecAgg,
     verify: VerifyAgg,
@@ -523,12 +527,8 @@ impl ReportAccumulator {
             analytical_chips: 0,
             verify_enabled: false,
             fleet_error_bound: 0.0,
-            total_requests: 0,
-            rejected_requests: 0,
-            deadline_misses: 0,
             groups_formed: 0,
             makespan_cycles: 0,
-            latencies: LatencySketch::new(),
             per_chip: (0..chips)
                 .map(|chip| ChipServeStats {
                     chip,
@@ -568,8 +568,6 @@ impl ReportAccumulator {
 
     /// Absorbs one request bounced by admission control.
     pub fn absorb_rejected_request(&mut self, slo: SloClass) {
-        self.total_requests += 1;
-        self.rejected_requests += 1;
         let acc = &mut self.per_class[slo.index()];
         acc.total += 1;
         acc.rejected += 1;
@@ -582,11 +580,6 @@ impl ReportAccumulator {
         latency_cycles: u64,
         deadline_missed: bool,
     ) {
-        self.total_requests += 1;
-        self.latencies.record(latency_cycles);
-        if deadline_missed {
-            self.deadline_misses += 1;
-        }
         let acc = &mut self.per_class[slo.index()];
         acc.total += 1;
         acc.served += 1;
@@ -689,12 +682,8 @@ impl ReportAccumulator {
         self.analytical_chips += other.analytical_chips;
         self.verify_enabled |= other.verify_enabled;
         self.fleet_error_bound = self.fleet_error_bound.max(other.fleet_error_bound);
-        self.total_requests += other.total_requests;
-        self.rejected_requests += other.rejected_requests;
-        self.deadline_misses += other.deadline_misses;
         self.groups_formed += other.groups_formed;
         self.makespan_cycles = self.makespan_cycles.max(other.makespan_cycles);
-        self.latencies.merge(&other.latencies);
         let offset = self.per_chip.len();
         self.per_chip
             .extend(other.per_chip.into_iter().map(|mut c| {
@@ -718,7 +707,12 @@ impl ReportAccumulator {
     /// Freezes the accumulated state into a [`ServeReport`].
     #[must_use]
     pub fn finish(&self) -> ServeReport {
-        let served_requests = self.latencies.count() as usize;
+        let mut latencies = LatencySketch::new();
+        for acc in &self.per_class {
+            latencies.merge(&acc.latencies);
+        }
+        let served_requests = latencies.count() as usize;
+        let sum = |field: fn(&ClassAcc) -> usize| self.per_class.iter().map(field).sum();
 
         let mut per_chip = self.per_chip.clone();
         for stats in &mut per_chip {
@@ -763,10 +757,10 @@ impl ReportAccumulator {
         ServeReport {
             seed: self.seed,
             chips: self.chips,
-            total_requests: self.total_requests,
+            total_requests: sum(|c| c.total),
             served_requests,
-            rejected_requests: self.rejected_requests,
-            deadline_misses: self.deadline_misses,
+            rejected_requests: sum(|c| c.rejected),
+            deadline_misses: sum(|c| c.deadline_misses),
             groups_formed: self.groups_formed,
             groups_executed,
             mean_batch_size: if groups_executed == 0 {
@@ -775,10 +769,10 @@ impl ReportAccumulator {
                 served_requests as f64 / groups_executed as f64
             },
             makespan_cycles: self.makespan_cycles,
-            latency_p50_cycles: self.latencies.percentile(0.50),
-            latency_p95_cycles: self.latencies.percentile(0.95),
-            latency_p99_cycles: self.latencies.percentile(0.99),
-            latency_max_cycles: self.latencies.max(),
+            latency_p50_cycles: latencies.percentile(0.50),
+            latency_p95_cycles: latencies.percentile(0.95),
+            latency_p99_cycles: latencies.percentile(0.99),
+            latency_max_cycles: latencies.max(),
             throughput_rps: if self.makespan_cycles == 0 {
                 0.0
             } else {
@@ -866,129 +860,6 @@ pub struct DagServeStats {
     pub e2e_max_cycles: u64,
     /// Per-class rows, ascending priority order.
     pub per_class: Vec<DagClassStats>,
-}
-
-/// Per-class running DAG state inside [`DagAccumulator`].
-#[derive(Debug, Clone, Default)]
-struct DagClassAcc {
-    total: usize,
-    completed: usize,
-    deadline_misses: usize,
-    e2e: LatencySketch,
-}
-
-/// Incremental [`DagServeStats`] builder, fed by the DAG orchestrator as
-/// instances resolve.  Latencies go through the same [`LatencySketch`] as
-/// the per-request report, so the frozen percentiles are order-free and
-/// deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct DagAccumulator {
-    dags: usize,
-    completed: usize,
-    failed: usize,
-    deadline_misses: usize,
-    stages_total: usize,
-    stages_served: usize,
-    stages_rejected: usize,
-    stages_shed: usize,
-    inherited_promotions: usize,
-    points: usize,
-    e2e: LatencySketch,
-    per_class: [DagClassAcc; 3],
-}
-
-impl DagAccumulator {
-    /// A fresh, empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Notes one submitted DAG instance of `class` with `stages` stages.
-    pub fn note_dag(&mut self, class: SloClass, stages: usize) {
-        self.dags += 1;
-        self.stages_total += stages;
-        self.per_class[class.index()].total += 1;
-    }
-
-    /// Notes one point request routed through the orchestrator.
-    pub fn note_point(&mut self) {
-        self.points += 1;
-    }
-
-    /// Notes one stage promoted above its own class by inheritance.
-    pub fn note_promotion(&mut self) {
-        self.inherited_promotions += 1;
-    }
-
-    /// Absorbs one served stage.
-    pub fn absorb_stage_served(&mut self) {
-        self.stages_served += 1;
-    }
-
-    /// Absorbs one admission-rejected stage.
-    pub fn absorb_stage_rejected(&mut self) {
-        self.stages_rejected += 1;
-    }
-
-    /// Absorbs one shed stage.
-    pub fn absorb_stage_shed(&mut self) {
-        self.stages_shed += 1;
-    }
-
-    /// Absorbs a fully served DAG instance: every stage completed,
-    /// end-to-end latency `e2e_cycles`, deadline verdict `missed`.
-    pub fn absorb_dag_completed(&mut self, class: SloClass, e2e_cycles: u64, missed: bool) {
-        self.completed += 1;
-        self.e2e.record(e2e_cycles);
-        let row = &mut self.per_class[class.index()];
-        row.completed += 1;
-        row.e2e.record(e2e_cycles);
-        if missed {
-            self.deadline_misses += 1;
-            row.deadline_misses += 1;
-        }
-    }
-
-    /// Absorbs a failed DAG instance (at least one stage rejected or shed).
-    pub fn absorb_dag_failed(&mut self) {
-        self.failed += 1;
-    }
-
-    /// Freezes the DAG-level stats.
-    #[must_use]
-    pub fn finish(&self) -> DagServeStats {
-        let per_class = SloClass::ALL
-            .iter()
-            .map(|&class| {
-                let acc = &self.per_class[class.index()];
-                DagClassStats {
-                    class,
-                    total: acc.total,
-                    completed: acc.completed,
-                    deadline_misses: acc.deadline_misses,
-                    e2e_p50_cycles: acc.e2e.percentile(0.50),
-                    e2e_p99_cycles: acc.e2e.percentile(0.99),
-                }
-            })
-            .collect();
-        DagServeStats {
-            dags: self.dags,
-            completed: self.completed,
-            failed: self.failed,
-            deadline_misses: self.deadline_misses,
-            stages_total: self.stages_total,
-            stages_served: self.stages_served,
-            stages_rejected: self.stages_rejected,
-            stages_shed: self.stages_shed,
-            inherited_promotions: self.inherited_promotions,
-            points: self.points,
-            e2e_p50_cycles: self.e2e.percentile(0.50),
-            e2e_p99_cycles: self.e2e.percentile(0.99),
-            e2e_max_cycles: self.e2e.max(),
-            per_class,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -380,7 +380,8 @@ impl ChipLane {
             );
             let start = prev_finish.max(slot.ready);
             let health = health_at(&self.health_changes, start);
-            let finish = start + health.scale_cycles(duration);
+            // Virtual time ends at `u64::MAX`: a slot past it finishes there.
+            let finish = start.saturating_add(health.scale_cycles(duration));
             let class = slot.class.index();
             self.backlog[class] -= slot.est_finish - slot.est_start;
             let slot = &mut self.slots[i];
@@ -1144,11 +1145,7 @@ impl<'rt> ServeSession<'rt> {
         let mut requests = 0usize;
         for slot in &orphans {
             let record = &mut self.groups[slot.gid - self.groups_base];
-            if !record.failed_over {
-                record.failed_over = true;
-                self.failed_over_groups += 1;
-                self.failed_over_requests += record.requests.len();
-            }
+            record.failed_over = true;
             requests += record.requests.len();
             // Failover cannot happen before the death is observed.
             let ready = slot.ready.max(at_cycles);
@@ -1286,16 +1283,6 @@ impl<'rt> ServeSession<'rt> {
         lost
     }
 
-    /// The health `chip` currently operates under.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip` is outside the fleet.
-    #[must_use]
-    pub fn chip_health(&self, chip: usize) -> ChipHealth {
-        health_at(&self.lanes[chip].health_changes, self.clock)
-    }
-
     /// Estimated service cycles of committed-but-not-started work, per SLO
     /// class (ascending priority order, [`SloClass::ALL`]) — the backlog
     /// pressure an elastic scaler reads.  Call after stepping the session to
@@ -1342,12 +1329,6 @@ impl<'rt> ServeSession<'rt> {
         for slot in orphans {
             let record = &mut self.groups[slot.gid - self.groups_base];
             record.evicted = true;
-            if record.failed_over {
-                // The group leaves this session's accounting entirely, even
-                // though it had been requeued off a dead chip first.
-                self.failed_over_groups -= 1;
-                self.failed_over_requests -= record.requests.len();
-            }
             evicted.extend(record.requests.iter().copied());
         }
         // Open batches have not even committed; their queued window-closure
@@ -1360,8 +1341,9 @@ impl<'rt> ServeSession<'rt> {
         evicted
     }
 
-    /// `(groups, requests)` failed over off dead chips so far (excluding
-    /// groups later evicted).  O(1): maintained incrementally.
+    /// `(groups, requests)` failed over off dead chips, counted once as each
+    /// group is absorbed into the report (an evicted group never is).  After
+    /// [`Self::drain`] that is every failed-over group the session served.
     #[must_use]
     pub fn failed_over(&self) -> (usize, usize) {
         (self.failed_over_groups, self.failed_over_requests)
@@ -1485,7 +1467,7 @@ impl<'rt> ServeSession<'rt> {
                     switching,
                 ));
                 let start = lane.actual_free.max(slot.ready);
-                let finish = start + duration;
+                let finish = start.saturating_add(duration);
                 results.push(SlotResult {
                     gid: slot.gid,
                     done: ExecDone {
@@ -1569,6 +1551,10 @@ impl<'rt> ServeSession<'rt> {
                 continue;
             }
             self.acc.note_group_formed();
+            if record.failed_over {
+                self.failed_over_groups += 1;
+                self.failed_over_requests += record.requests.len();
+            }
             let Some(chip) = record.chip else {
                 for (_, request) in &record.requests {
                     self.acc.absorb_rejected_request(request.slo);

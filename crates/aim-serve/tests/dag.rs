@@ -85,8 +85,19 @@ fn report_json(report: &FleetReport) -> String {
     serde_json::to_string(report).expect("fleet reports serialize")
 }
 
+/// `count` DAG-only session items, the `i`-th built by `dag(i)`.
+fn dag_items(count: u64, dag: impl Fn(u64) -> DagRequest) -> Vec<SessionItem> {
+    (0..count)
+        .map(|i| SessionItem {
+            user: 0,
+            kind: SessionItemKind::Dag(dag(i)),
+        })
+        .collect()
+}
+
 /// Checks the exactly-once stage ledger: per item, each (stage) index
-/// resolves once, and the report-level conservation laws hold.
+/// resolves once, the report-level conservation laws hold, and the stage
+/// and DAG counters match a recount from the streamed outcomes.
 fn assert_conservation(report: &FleetReport, outcomes: &[StageOutcome], items: &[SessionItem]) {
     let dag = report
         .dag
@@ -139,6 +150,52 @@ fn assert_conservation(report: &FleetReport, outcomes: &[StageOutcome], items: &
         dag.per_class.iter().map(|c| c.completed).sum::<usize>(),
         dag.completed
     );
+
+    // An independent oracle: recount the stage and DAG ledgers from the
+    // streamed outcomes alone.  A DAG completed when every one of its stages
+    // streamed `Served`; its class is the instance's, not the stages'.
+    let (mut served, mut rejected, mut shed) = (0usize, 0usize, 0usize);
+    let mut all_served = vec![true; items.len()];
+    for outcome in outcomes.iter().filter(|o| o.dag) {
+        let stage_served = match outcome.status {
+            StageStatus::Fleet {
+                status: CompletionStatus::Served { .. },
+                ..
+            } => {
+                served += 1;
+                true
+            }
+            StageStatus::Fleet {
+                status: CompletionStatus::Rejected { .. },
+                ..
+            } => {
+                rejected += 1;
+                false
+            }
+            StageStatus::Shed => {
+                shed += 1;
+                false
+            }
+        };
+        all_served[outcome.item] &= stage_served;
+    }
+    assert_eq!(dag.stages_served, served);
+    assert_eq!(dag.stages_rejected, rejected);
+    assert_eq!(dag.stages_shed, shed);
+    let mut completed_by_class = [0usize; 3];
+    for (item, session_item) in items.iter().enumerate() {
+        if let SessionItemKind::Dag(d) = &session_item.kind {
+            if all_served[item] {
+                completed_by_class[d.slo.index()] += 1;
+            }
+        }
+    }
+    let completed: usize = completed_by_class.iter().sum();
+    assert_eq!(dag.completed, completed);
+    assert_eq!(dag.failed, dags - completed);
+    for row in &dag.per_class {
+        assert_eq!(row.completed, completed_by_class[row.class.index()]);
+    }
 }
 
 proptest! {
@@ -457,17 +514,19 @@ fn dag_admission_sheds_whole_dags_never_partial_ones() {
     );
     // A tight burst of cascades on one slow chip: the backlog blows past
     // the cap and later DAGs are shed at the door.
-    for i in 0..16 {
-        orch.submit_dag(&DagRequest {
-            template: 0,
-            arrival_cycles: i * 100,
-            deadline_cycles: i * 100 + 2_000_000,
-            slo: SloClass::Standard,
-            stage_gaps: vec![0, 0],
-        });
+    let items = dag_items(16, |i| DagRequest {
+        template: 0,
+        arrival_cycles: i * 100,
+        deadline_cycles: i * 100 + 2_000_000,
+        slo: SloClass::Standard,
+        stage_gaps: vec![0, 0],
+    });
+    for item in &items {
+        orch.submit_item(item);
     }
     let report = orch.drain();
     let outcomes = orch.poll_outcomes();
+    assert_conservation(&report, &outcomes, &items);
     let dag = report.dag.expect("orchestrated drains carry DAG stats");
 
     assert!(dag.failed > 0, "the flood must shed at least one DAG");
@@ -521,17 +580,19 @@ fn mid_flight_rejection_sheds_all_descendants_exactly_once() {
     );
     // Fan-out/join DAGs under a backlog: join stages (and some branches)
     // get rejected mid-flight, shedding the rest of their DAG.
-    for i in 0..12 {
-        orch.submit_dag(&DagRequest {
-            template: 1, // ensemble-vote: root, two branches, join
-            arrival_cycles: i * 400,
-            deadline_cycles: i * 400 + 3_000_000,
-            slo: SloClass::Standard,
-            stage_gaps: vec![0, 0, 0, 0],
-        });
+    let items = dag_items(12, |i| DagRequest {
+        template: 1, // ensemble-vote: root, two branches, join
+        arrival_cycles: i * 400,
+        deadline_cycles: i * 400 + 3_000_000,
+        slo: SloClass::Standard,
+        stage_gaps: vec![0, 0, 0, 0],
+    });
+    for item in &items {
+        orch.submit_item(item);
     }
     let report = orch.drain();
     let outcomes = orch.poll_outcomes();
+    assert_conservation(&report, &outcomes, &items);
     let dag = report.dag.expect("orchestrated drains carry DAG stats");
 
     assert_eq!(dag.dags, 12);

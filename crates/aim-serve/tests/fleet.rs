@@ -804,42 +804,57 @@ fn fault_plans_addressing_missing_shards_are_rejected() {
     );
 }
 
+/// A valid scaling policy passes [`ScalingConfig::validate`], which
+/// [`FleetSession::new`] runs on every configured policy.
 #[test]
 fn the_scaling_builder_round_trips_a_valid_config() {
-    let config = ScalingConfig::builder()
-        .check_interval_cycles(4_000)
-        .scale_up_backlog_cycles(25_000)
-        .scale_down_backlog_cycles(2_500)
-        .min_workers(1)
-        .max_workers(3)
-        .class_weights([1, 3, 9])
-        .build();
-    assert_eq!(config.check_interval_cycles, 4_000);
-    assert_eq!(config.scale_up_backlog_cycles, 25_000);
-    assert_eq!(config.scale_down_backlog_cycles, 2_500);
-    assert_eq!(config.max_workers, 3);
-    assert_eq!(config.class_weights, [1, 3, 9]);
+    let scaling = ScalingConfig {
+        check_interval_cycles: 4_000,
+        scale_up_backlog_cycles: 25_000,
+        scale_down_backlog_cycles: 2_500,
+        min_workers: 1,
+        max_workers: 3,
+        class_weights: [1, 3, 9],
+    };
+    scaling.validate();
+    let runtime = ServeRuntime::from_plans(plans().clone(), ServeConfig::default());
+    let config = FleetConfig {
+        scaling: Some(scaling),
+        ..FleetConfig::default()
+    };
+    let fleet = FleetSession::new(&runtime, config, FaultPlan::none());
+    assert_eq!(fleet.config().scaling, Some(scaling));
 }
 
 #[test]
 #[should_panic(expected = "hysteresis requires scale_down < scale_up")]
 fn the_scaling_builder_rejects_inverted_hysteresis() {
-    let _ = ScalingConfig::builder()
-        .scale_up_backlog_cycles(5_000)
-        .scale_down_backlog_cycles(5_000)
-        .build();
+    ScalingConfig {
+        scale_up_backlog_cycles: 5_000,
+        scale_down_backlog_cycles: 5_000,
+        ..ScalingConfig::default()
+    }
+    .validate();
 }
 
 #[test]
 #[should_panic(expected = "scaling check interval must be at least one cycle")]
 fn the_scaling_builder_rejects_zero_check_intervals() {
-    let _ = ScalingConfig::builder().check_interval_cycles(0).build();
+    ScalingConfig {
+        check_interval_cycles: 0,
+        ..ScalingConfig::default()
+    }
+    .validate();
 }
 
 #[test]
 #[should_panic(expected = "min_workers must be at least 1")]
 fn the_scaling_builder_rejects_zero_worker_floors() {
-    let _ = ScalingConfig::builder().min_workers(0).build();
+    ScalingConfig {
+        min_workers: 0,
+        ..ScalingConfig::default()
+    }
+    .validate();
 }
 
 /// The verification-sampling phase derives from a hash of each group's

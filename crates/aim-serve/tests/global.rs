@@ -220,10 +220,13 @@ proptest! {
             .filter(|o| matches!(o.status, GlobalStatus::Shed { .. }))
             .count();
         prop_assert_eq!(report.availability.requests_shed, streamed_shed);
-        prop_assert_eq!(
-            report.availability.shed_by_class.iter().sum::<usize>(),
-            streamed_shed
-        );
+        for class in SloClass::ALL {
+            let streamed = outcomes
+                .iter()
+                .filter(|o| o.slo == class && matches!(o.status, GlobalStatus::Shed { .. }))
+                .count();
+            prop_assert_eq!(report.availability.shed_by_class[class.index()], streamed);
+        }
 
         // Migrated-and-served: every streamed migrated Served outcome is a
         // real request that survived an eviction or retry, and the eviction
@@ -575,19 +578,31 @@ fn placement_layouts_round_robin_and_count_replicas() {
 #[test]
 #[should_panic(expected = "retry budget must allow at least one attempt")]
 fn zero_retry_budgets_are_rejected() {
-    let _ = RetryConfig::builder().max_attempts(0).build();
+    RetryConfig {
+        max_attempts: 0,
+        ..RetryConfig::default()
+    }
+    .validate();
 }
 
 #[test]
 #[should_panic(expected = "retry backoff must wait at least one cycle")]
 fn zero_backoff_bases_are_rejected() {
-    let _ = RetryConfig::builder().backoff_base_cycles(0).build();
+    RetryConfig {
+        backoff_base_cycles: 0,
+        ..RetryConfig::default()
+    }
+    .validate();
 }
 
 #[test]
 #[should_panic(expected = "backoff multiplier must be at least 1")]
 fn zero_backoff_multipliers_are_rejected() {
-    let _ = RetryConfig::builder().backoff_multiplier(0).build();
+    RetryConfig {
+        backoff_multiplier: 0,
+        ..RetryConfig::default()
+    }
+    .validate();
 }
 
 #[test]

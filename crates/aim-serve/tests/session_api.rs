@@ -438,6 +438,30 @@ fn drained_sessions_reject_further_submissions() {
     );
 }
 
+/// Virtual time ends at `u64::MAX`.  A request arriving five cycles before
+/// it used to overflow its group's finish time: an arithmetic panic in
+/// debug, and in release a finish that wrapped to a small makespan with a
+/// chip more than 100 % busy.  The finish now saturates at `u64::MAX`.
+#[test]
+fn a_request_at_the_end_of_virtual_time_is_served_without_overflow() {
+    let runtime = ServeRuntime::from_plans(plans().clone(), ServeConfig::builder().build());
+    let mut session = runtime.session();
+    session.submit(TraceRequest {
+        model: 0,
+        arrival_cycles: u64::MAX - 5,
+        deadline_cycles: u64::MAX,
+        slo: SloClass::Standard,
+    });
+    let report = session.drain();
+    assert_eq!(report.served_requests, 1);
+    assert_eq!(report.makespan_cycles, u64::MAX);
+    assert!(
+        report.per_chip.iter().all(|chip| chip.utilization <= 1.0),
+        "utilization above 1: {:?}",
+        report.per_chip
+    );
+}
+
 // --- the online calibration loop ---------------------------------------------
 
 /// The headline regression of the health-derate verification fix: a
