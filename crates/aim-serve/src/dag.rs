@@ -60,7 +60,7 @@ use crate::fleet::{FleetConfig, FleetReport, FleetSession};
 use crate::report::{DagClassStats, DagServeStats, LatencySketch};
 use crate::runtime::ServeRuntime;
 use crate::scheduler::{split_dag_deadline, AdmissionConfig, CostModel};
-use crate::session::CompletionStatus;
+use crate::session::{CompletionStatus, RequestOutcome};
 
 /// Orchestrator policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -301,12 +301,12 @@ impl<'rt> DagOrchestrator<'rt> {
     /// of range, or the instance's gap vector does not match the template.
     pub fn submit_dag(&mut self, dag: &DagRequest) -> usize {
         assert!(!self.drained, "cannot submit to a drained orchestrator");
-        let template = self
+        let stages = self
             .templates
             .get(dag.template)
             .unwrap_or_else(|| panic!("unknown DAG template index {}", dag.template))
-            .clone();
-        let stages = template.stages.len();
+            .stages
+            .len();
         assert_eq!(
             dag.stage_gaps.len(),
             stages,
@@ -328,6 +328,7 @@ impl<'rt> DagOrchestrator<'rt> {
                 .fold(0u64, |a, &b| a.saturating_add(b));
             backlog / self.fleet.shards() as u64 > admission.cap_for(dag.slo)
         });
+        let template = &self.templates[dag.template];
         let effective = if self.config.inherit_priority && !shed {
             template.inherited_classes(dag.slo)
         } else {
@@ -343,7 +344,7 @@ impl<'rt> DagOrchestrator<'rt> {
             class: dag.slo,
             effective,
             stage_deadlines: split_dag_deadline(
-                &template,
+                template,
                 &dag.stage_gaps,
                 &self.cost,
                 dag.arrival_cycles,
@@ -360,7 +361,8 @@ impl<'rt> DagOrchestrator<'rt> {
         }
         // Root stages issue at the DAG's arrival (their think gap, if any,
         // is ignored — a gap models the pause *after* a parent completes).
-        for (stage, spec) in template.stages.iter().enumerate() {
+        for stage in 0..stages {
+            let spec = &self.templates[dag.template].stages[stage];
             if spec.parents.is_empty() {
                 self.submit_stage(item, stage, dag.arrival_cycles);
             }
@@ -564,33 +566,41 @@ impl<'rt> DagOrchestrator<'rt> {
         self.fleet.submit(request);
     }
 
-    /// Polls the fleet and resolves every completed submission.
+    /// Resolves every completed submission, taking the fleet's outcomes in
+    /// [`FleetSession::poll_completions`] order (resolving one submits
+    /// nothing, so none joins mid-harvest).
     fn harvest(&mut self) {
-        for fleet_outcome in self.fleet.poll_completions() {
-            let outcome = fleet_outcome.outcome;
-            match self.submissions[outcome.request] {
-                SubmissionRef::Point { item } => {
-                    let Item::Point { resolved } = &mut self.items[item] else {
-                        unreachable!("point submission maps to a point item");
-                    };
-                    debug_assert!(!*resolved, "point resolved twice");
-                    *resolved = true;
-                    self.outcomes.push_back(StageOutcome {
-                        item,
-                        stage: 0,
-                        stages: 1,
-                        dag: false,
-                        model: outcome.model,
-                        class: outcome.slo,
-                        status: StageStatus::Fleet {
-                            shard: fleet_outcome.shard,
-                            status: outcome.status,
-                        },
-                    });
-                }
-                SubmissionRef::Stage { item, stage } => {
-                    self.resolve_fleet_stage(item, stage, fleet_outcome.shard, outcome.status);
-                }
+        for shard in 0..self.fleet.shards() {
+            while let Some(outcome) = self.fleet.pop_completion(shard) {
+                self.resolve_fleet_outcome(shard, outcome);
+            }
+        }
+    }
+
+    /// Resolves one fleet outcome of `shard`.
+    fn resolve_fleet_outcome(&mut self, shard: usize, outcome: RequestOutcome) {
+        match self.submissions[outcome.request] {
+            SubmissionRef::Point { item } => {
+                let Item::Point { resolved } = &mut self.items[item] else {
+                    unreachable!("point submission maps to a point item");
+                };
+                debug_assert!(!*resolved, "point resolved twice");
+                *resolved = true;
+                self.outcomes.push_back(StageOutcome {
+                    item,
+                    stage: 0,
+                    stages: 1,
+                    dag: false,
+                    model: outcome.model,
+                    class: outcome.slo,
+                    status: StageStatus::Fleet {
+                        shard,
+                        status: outcome.status,
+                    },
+                });
+            }
+            SubmissionRef::Stage { item, stage } => {
+                self.resolve_fleet_stage(item, stage, shard, outcome.status);
             }
         }
     }

@@ -488,13 +488,25 @@ impl<'rt> FleetSession<'rt> {
     /// fleet submission order (shards are handed the fleet index at
     /// submission).
     pub fn poll_completions(&mut self) -> Vec<FleetOutcome> {
-        let mut out = Vec::new();
-        for (shard, session) in self.shards.iter_mut().enumerate() {
-            for outcome in session.poll_completions() {
+        let pending = self
+            .shards
+            .iter()
+            .map(ServeSession::pending_completions)
+            .sum();
+        let mut out = Vec::with_capacity(pending);
+        for shard in 0..self.shards.len() {
+            while let Some(outcome) = self.pop_completion(shard) {
                 out.push(FleetOutcome { shard, outcome });
             }
         }
         out
+    }
+
+    /// Takes `shard`'s oldest unpolled outcome: draining shards in order
+    /// through this yields [`Self::poll_completions`]'s sequence without
+    /// collecting it.
+    pub(crate) fn pop_completion(&mut self, shard: usize) -> Option<RequestOutcome> {
+        self.shards[shard].pop_completion()
     }
 
     /// Streamed outcomes dropped across all shards under the configured

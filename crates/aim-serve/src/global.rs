@@ -1035,31 +1035,37 @@ impl<'rt> GlobalRouter<'rt> {
     fn route(&mut self, id: usize, at: u64) {
         let model = self.tracks[id].request.model;
         let class = self.tracks[id].request.slo;
-        let candidates: Vec<usize> = self.holders[model]
+        // The candidates are the routable holders, in holder order (stepping
+        // a fleet never changes which regions are routable).
+        let candidates = self.holders[model]
             .iter()
-            .copied()
-            .filter(|&r| self.regions[r].health().routable())
-            .collect();
-        if candidates.is_empty() {
+            .filter(|&&r| self.regions[r].health().routable())
+            .count();
+        if candidates == 0 {
             self.defer_or_shed(id, at);
             return;
         }
         let region = match self.config.route {
-            RoutePolicy::ByModel => candidates[model % candidates.len()],
+            RoutePolicy::ByModel => *self.holders[model]
+                .iter()
+                .filter(|&&r| self.regions[r].health().routable())
+                .nth(model % candidates)
+                .expect("index < candidate count"),
             RoutePolicy::LeastBacklog => {
-                let mut best = candidates[0];
-                let mut best_pressure = u64::MAX;
-                for &candidate in &candidates {
+                let mut best: Option<(u64, usize)> = None;
+                for &candidate in &self.holders[model] {
+                    if !self.regions[candidate].health().routable() {
+                        continue;
+                    }
                     // Virtual-time snapshot: judge backlog at the routing
                     // instant, not wherever the fleet last stopped.
                     self.regions[candidate].fleet.run_until(at);
                     let pressure = self.weighted_backlog(candidate);
-                    if pressure < best_pressure {
-                        best_pressure = pressure;
-                        best = candidate;
+                    if best.is_none_or(|(least, _)| pressure < least) {
+                        best = Some((pressure, candidate));
                     }
                 }
-                best
+                best.expect("a candidate exists").1
             }
         };
         let ceiling = self.config.shed.backlog_ceiling_cycles[class.index()];

@@ -349,7 +349,9 @@ impl ServeRuntime {
             reload_cycles: self
                 .plans
                 .iter()
-                .map(|p| p.total_slices() as u64 * self.config.reload_cycles_per_slice)
+                .map(|p| {
+                    (p.total_slices() as u64).saturating_mul(self.config.reload_cycles_per_slice)
+                })
                 .collect(),
         }
     }

@@ -136,7 +136,8 @@ pub fn form_groups(
 /// (with *measured* ones).  A group of `b` requests streams them back to
 /// back through macros already loaded with the model's weights, so it costs
 /// one reload (if the chip switches model) plus `b × exec` — batching
-/// amortises exactly the reload term.
+/// amortises exactly the reload term.  Virtual time ends at `u64::MAX`, so
+/// the cost saturates there.
 #[must_use]
 pub fn group_service_cycles(
     batch_size: usize,
@@ -145,7 +146,7 @@ pub fn group_service_cycles(
     switching_model: bool,
 ) -> u64 {
     let reload = if switching_model { reload_cycles } else { 0 };
-    reload + batch_size as u64 * exec_cycles
+    reload.saturating_add((batch_size as u64).saturating_mul(exec_cycles))
 }
 
 /// The dispatcher's pre-execution cost model.

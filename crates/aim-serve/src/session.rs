@@ -42,11 +42,13 @@
 //! Every *scheduling* decision (batch membership, chip choice, queue
 //! position, admission) derives from arrival times and the pre-execution
 //! [`CostModel`] — never from measured execution.  Chip execution therefore
-//! fans out across worker threads freely: each group's replay is seeded by
-//! its commit index, per-chip results are recombined in chip order, and the
-//! measured timeline is chained per chip in queue order.  A fixed submission
-//! sequence produces a byte-identical [`ServeReport`] regardless of
-//! `parallel`, of the worker-thread count, and of how the caller interleaves
+//! fans out across worker threads freely: with `parallel` set, only the
+//! lanes with ready work fan out (a step with one ready lane runs inline),
+//! each group's replay is seeded by its commit index, the lanes' results
+//! are merged and sorted by commit index, and the measured timeline is
+//! chained per chip in queue order.  A fixed submission sequence produces a
+//! byte-identical [`ServeReport`] regardless of `parallel`, of the
+//! worker-thread count, and of how the caller interleaves
 //! `run_until`/`poll_completions` between submissions.
 //!
 //! A cycle-accurate replay is a pure function of `(model, seed offset)`, so
@@ -103,7 +105,11 @@
 //! per-request state that can outlive its group is the unpolled
 //! [`RequestOutcome`] stream, and `ServeConfig::completion_capacity` bounds
 //! that too — report-only callers that never poll hold a fixed window, with
-//! the overflow counted by [`Self::completions_dropped`].
+//! the overflow counted by [`Self::completions_dropped`].  The stepping hot
+//! path reuses its buffers: the chip lanes execute in place into one
+//! session-owned result buffer, and each absorbed group's request buffer is
+//! recycled into the next batch to open, so the session never holds more
+//! request buffers than it once had batches and groups in flight at once.
 //!
 //! [`submit`]: ServeSession::submit
 //! [`run_until`]: ServeSession::run_until
@@ -536,6 +542,12 @@ pub struct ServeSession<'rt> {
     /// Cycle-accurate replay results, shared with the other shards of a
     /// fleet run.
     replays: Arc<ReplayMemo>,
+    /// The slots one harvest executed, reused across harvests (empty
+    /// between them).
+    retired: Vec<SlotResult>,
+    /// Cleared request buffers of absorbed groups and evicted batches,
+    /// reused by the next batches to open.
+    spare_requests: Vec<Vec<(usize, TraceRequest)>>,
 }
 
 impl<'rt> ServeSession<'rt> {
@@ -596,6 +608,8 @@ impl<'rt> ServeSession<'rt> {
             failed_over_groups: 0,
             failed_over_requests: 0,
             replays,
+            retired: Vec::new(),
+            spare_requests: Vec::new(),
         }
     }
 
@@ -716,8 +730,10 @@ impl<'rt> ServeSession<'rt> {
         let generation = self.next_generation;
         self.next_generation += 1;
         let close_at = arrival.saturating_add(config.batch_window_cycles);
+        let mut requests = self.spare_requests.pop().unwrap_or_default();
+        requests.push((external_id, request));
         self.open[model] = Some(OpenBatch {
-            requests: vec![(external_id, request)],
+            requests,
             last_arrival: arrival,
             close_at,
             class: slo,
@@ -905,6 +921,17 @@ impl<'rt> ServeSession<'rt> {
     /// [`Self::completions_dropped`].
     pub fn poll_completions(&mut self) -> Vec<RequestOutcome> {
         self.completions.drain(..).collect()
+    }
+
+    /// Unpolled outcomes held.
+    pub(crate) fn pending_completions(&self) -> usize {
+        self.completions.len()
+    }
+
+    /// Takes the oldest unpolled outcome — [`Self::poll_completions`] one
+    /// at a time, for callers that resolve outcomes as they take them.
+    pub(crate) fn pop_completion(&mut self) -> Option<RequestOutcome> {
+        self.completions.pop_front()
     }
 
     /// Outcomes dropped (oldest first) because the bounded completion
@@ -1293,7 +1320,7 @@ impl<'rt> ServeSession<'rt> {
         let mut backlog = [0u64; 3];
         for lane in &self.lanes {
             for (total, lane_class) in backlog.iter_mut().zip(lane.backlog) {
-                *total += lane_class;
+                *total = total.saturating_add(lane_class);
             }
         }
         backlog
@@ -1333,8 +1360,9 @@ impl<'rt> ServeSession<'rt> {
         }
         // Open batches have not even committed; their queued window-closure
         // events go stale and are ignored by the generation liveness check.
-        for batch in self.open.iter_mut().filter_map(Option::take) {
-            evicted.extend(batch.requests);
+        for mut batch in self.open.iter_mut().filter_map(Option::take) {
+            evicted.append(&mut batch.requests);
+            self.spare_requests.push(batch.requests);
         }
         self.absorb_resolved();
         evicted.sort_unstable_by_key(|&(ri, _)| ri);
@@ -1363,33 +1391,28 @@ impl<'rt> ServeSession<'rt> {
     }
 
     /// Executes every queued slot whose estimated start is at or before
-    /// `horizon`, fanning chips out across worker threads when configured,
-    /// and harvests the retired groups' completions in commit order.
+    /// `horizon`, stepping the lanes in place and fanning the ones with
+    /// ready work out across worker threads when configured, and harvests
+    /// the retired groups' completions in commit order.
     fn execute_ready(&mut self, horizon: u64) {
-        let has_work = self
-            .lanes
-            .iter()
-            .any(|l| l.slots.front().is_some_and(|s| s.est_start <= horizon));
-        if !has_work {
-            self.absorb_resolved();
-            return;
-        }
+        let ready = |lane: &ChipLane| lane.slots.front().is_some_and(|s| s.est_start <= horizon);
         let runtime = self.runtime;
-        let reload = self.cost.reload_cycles.clone();
+        let reload = &self.cost.reload_cycles;
         let seed = runtime.config().seed;
-        // Snapshot the loop state once per harvest: every chip prices this
-        // window's slots under the same `(adjust, demoted)` pair, so the
-        // results cannot depend on worker interleaving, and the next
-        // recalibration boundary only sees samples committed before it.
-        let cal_snapshot: Vec<(f64, bool)> =
-            self.cal.iter().map(|s| (s.adjust, s.row.demoted)).collect();
-        let loop_on = !cal_snapshot.is_empty();
+        // Only `absorb_resolved`, after every lane has run, writes the loop
+        // state: every chip prices this window's slots under the same
+        // `(adjust, demoted)` pair, so the results cannot depend on worker
+        // interleaving, and the next recalibration boundary only sees
+        // samples committed before it.
+        let cal = &self.cal;
+        let loop_on = !cal.is_empty();
         let replays = &*self.replays;
-        let lanes = std::mem::take(&mut self.lanes);
-        let run = |mut lane: ChipLane| -> (ChipLane, Vec<SlotResult>) {
-            let mut results = Vec::new();
-            let model_cal = |model: usize| cal_snapshot.get(model).copied().unwrap_or((1.0, false));
-            while lane.slots.front().is_some_and(|s| s.est_start <= horizon) {
+        let run = |lane: &mut ChipLane, results: &mut Vec<SlotResult>| {
+            let model_cal = |model: usize| {
+                cal.get(model)
+                    .map_or((1.0, false), |s| (s.adjust, s.row.demoted))
+            };
+            while ready(lane) {
                 let slot = lane.slots[0];
                 let seed_offset = replay_seed_offset(seed, slot.gid);
                 let mut replay = || {
@@ -1482,25 +1505,32 @@ impl<'rt> ServeSession<'rt> {
                 lane.actual_last_model = Some(slot.model);
                 lane.retire_front();
             }
-            (lane, results)
         };
-        let outcomes: Vec<(ChipLane, Vec<SlotResult>)> = if runtime.config().parallel {
-            lanes.into_par_iter().map(run).collect()
-        } else {
-            lanes.into_iter().map(run).collect()
-        };
-        let mut retired: Vec<SlotResult> = Vec::new();
-        self.lanes = outcomes
-            .into_iter()
-            .map(|(lane, mut results)| {
-                retired.append(&mut results);
-                lane
-            })
-            .collect();
+        let ready_lanes = self.lanes.iter().filter(|lane| ready(lane)).count();
+        if ready_lanes > 1 && runtime.config().parallel {
+            let lanes: Vec<&mut ChipLane> =
+                self.lanes.iter_mut().filter(|lane| ready(lane)).collect();
+            let fanned: Vec<Vec<SlotResult>> = lanes
+                .into_par_iter()
+                .map(|lane| {
+                    let mut results = Vec::new();
+                    run(lane, &mut results);
+                    results
+                })
+                .collect();
+            for mut results in fanned {
+                self.retired.append(&mut results);
+            }
+        } else if ready_lanes > 0 {
+            for lane in &mut self.lanes {
+                run(lane, &mut self.retired);
+            }
+        }
         // Completions stream in commit order within each harvest, so the
         // output order never depends on chip interleaving.
-        retired.sort_unstable_by_key(|r| r.gid);
-        for result in retired {
+        self.retired.sort_unstable_by_key(|r| r.gid);
+        let mut retired = std::mem::take(&mut self.retired);
+        for result in retired.drain(..) {
             let record = &mut self.groups[result.gid - self.groups_base];
             record.done = Some(result.done);
             let batch_size = record.requests.len();
@@ -1526,6 +1556,7 @@ impl<'rt> ServeSession<'rt> {
                 });
             }
         }
+        self.retired = retired;
         self.absorb_resolved();
     }
 
@@ -1533,75 +1564,82 @@ impl<'rt> ServeSession<'rt> {
 
     /// Absorbs the resolved prefix of the group deque into the session's
     /// accumulator — strictly in commit order, so the accumulation sequence
-    /// never depends on when groups happened to retire — and drops the
-    /// absorbed records.  A group is resolved once it was rejected,
-    /// evicted, or executed; an unresolved group blocks everything behind
-    /// it (the deque is the in-flight window, bounded by queue depth).
+    /// never depends on when groups happened to retire — and recycles the
+    /// absorbed records' request buffers.  A group is resolved once it was
+    /// rejected, evicted, or executed; an unresolved group blocks
+    /// everything behind it (the deque is the in-flight window, bounded by
+    /// queue depth).
     fn absorb_resolved(&mut self) {
         while let Some(front) = self.groups.front() {
             let resolved = front.evicted || front.chip.is_none() || front.done.is_some();
             if !resolved {
                 break;
             }
-            let record = self.groups.pop_front().expect("front exists");
+            let mut record = self.groups.pop_front().expect("front exists");
             self.groups_base += 1;
             // Evicted groups migrated to another session before starting;
             // whoever served them accounts for them.
-            if record.evicted {
-                continue;
+            if !record.evicted {
+                self.absorb_group(&record);
             }
-            self.acc.note_group_formed();
-            if record.failed_over {
-                self.failed_over_groups += 1;
-                self.failed_over_requests += record.requests.len();
+            record.requests.clear();
+            self.spare_requests.push(record.requests);
+        }
+    }
+
+    /// Absorbs one resolved, non-evicted group into the accumulator.
+    fn absorb_group(&mut self, record: &GroupRecord) {
+        self.acc.note_group_formed();
+        if record.failed_over {
+            self.failed_over_groups += 1;
+            self.failed_over_requests += record.requests.len();
+        }
+        let Some(chip) = record.chip else {
+            for (_, request) in &record.requests {
+                self.acc.absorb_rejected_request(request.slo);
             }
-            let Some(chip) = record.chip else {
-                for (_, request) in &record.requests {
-                    self.acc.absorb_rejected_request(request.slo);
-                }
-                continue;
-            };
-            let done = record.done.expect("a resolved admitted group has executed");
-            self.acc.absorb_executed_group(
-                chip,
-                done.start,
-                done.finish,
-                record.requests.len(),
-                &done.exec,
+            return;
+        };
+        let done = record.done.expect("a resolved admitted group has executed");
+        self.acc.absorb_executed_group(
+            chip,
+            done.start,
+            done.finish,
+            record.requests.len(),
+            &done.exec,
+        );
+        for &(_, request) in &record.requests {
+            self.acc.absorb_served_request(
+                request.slo,
+                done.finish - request.arrival_cycles,
+                done.finish > request.deadline_cycles,
             );
-            for &(_, request) in &record.requests {
-                self.acc.absorb_served_request(
-                    request.slo,
-                    done.finish - request.arrival_cycles,
-                    done.finish > request.deadline_cycles,
-                );
-            }
-            if let Some(sample) = done.drift {
-                if sample.verify {
-                    let bound = self
-                        .runtime
-                        .analytical_plans()
-                        .expect("verified groups are analytical")[record.model]
-                        .error_bound();
-                    self.acc
-                        .absorb_verify_sample(sample.predicted, sample.accurate, bound);
-                }
-                // The EWMA folds samples in commit order — the only order
-                // shared across worker counts and run_until granularities —
-                // over the *signed* post-scaling residual, so systematic
-                // over- and under-prediction pull the next recalibration in
-                // opposite directions instead of both inflating it.
-                if let Some(cfg) = Self::loop_config(self.runtime) {
-                    let state = &mut self.cal[record.model];
-                    let predicted = sample.predicted.max(1) as f64;
-                    let residual = (sample.accurate as f64 - predicted) / predicted;
-                    state.ewma = cfg.ewma_decay * residual + (1.0 - cfg.ewma_decay) * state.ewma;
-                    state.row.max_abs_ewma_drift =
-                        state.row.max_abs_ewma_drift.max(state.ewma.abs());
-                    state.row.samples += 1;
-                    state.samples_since_recal += 1;
-                }
-            }
+        }
+        let Some(sample) = done.drift else {
+            return;
+        };
+        if sample.verify {
+            let bound = self
+                .runtime
+                .analytical_plans()
+                .expect("verified groups are analytical")[record.model]
+                .error_bound();
+            self.acc
+                .absorb_verify_sample(sample.predicted, sample.accurate, bound);
+        }
+        // The EWMA folds samples in commit order — the only order shared
+        // across worker counts and run_until granularities — over the
+        // *signed* post-scaling residual, so systematic over- and
+        // under-prediction pull the next recalibration in opposite
+        // directions instead of both inflating it.
+        if let Some(cfg) = Self::loop_config(self.runtime) {
+            let state = &mut self.cal[record.model];
+            let predicted = sample.predicted.max(1) as f64;
+            let residual = (sample.accurate as f64 - predicted) / predicted;
+            state.ewma = cfg.ewma_decay * residual + (1.0 - cfg.ewma_decay) * state.ewma;
+            state.row.max_abs_ewma_drift = state.row.max_abs_ewma_drift.max(state.ewma.abs());
+            state.row.samples += 1;
+            state.samples_since_recal += 1;
         }
     }
 }

@@ -462,6 +462,39 @@ fn a_request_at_the_end_of_virtual_time_is_served_without_overflow() {
     );
 }
 
+/// A weight-reload cost past the end of virtual time used to overflow: the
+/// per-model reload (`slices × reload_cycles_per_slice`) and each group's
+/// `reload + batch × exec` were computed unchecked, an arithmetic panic in
+/// debug and, in release, a wrapped cost that drained a four-request trace
+/// to a 9.2·10¹⁸-cycle makespan.  Both now saturate at `u64::MAX`, and so
+/// does the session's sum of its chips' backlogs, which those saturated
+/// costs reach.
+#[test]
+fn a_reload_cost_past_the_end_of_virtual_time_saturates() {
+    let config = ServeConfig::builder()
+        .reload_cycles_per_slice(u64::MAX / 2)
+        .build();
+    let runtime = ServeRuntime::from_plans(plans().clone(), config);
+    let trace = interleaved_trace(4);
+    let report = runtime.serve(&trace);
+    assert_eq!(report.served_requests, trace.len());
+    // Every group switches model onto its chip, so each finishes at the end.
+    assert_eq!(report.makespan_cycles, u64::MAX);
+    assert!(
+        report.per_chip.iter().all(|chip| chip.utilization <= 1.0),
+        "utilization above 1: {:?}",
+        report.per_chip
+    );
+
+    // Two such groups queued on two chips: the backlog an elastic scaler
+    // reads saturates too.
+    let mut session = runtime.session();
+    session.submit(req(0, 0, SloClass::LatencySensitive));
+    session.submit(req(1, 100, SloClass::LatencySensitive));
+    let backlog = session.class_backlog_cycles();
+    assert_eq!(backlog[SloClass::LatencySensitive.index()], u64::MAX);
+}
+
 // --- the online calibration loop ---------------------------------------------
 
 /// The headline regression of the health-derate verification fix: a
