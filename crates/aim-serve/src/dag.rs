@@ -130,8 +130,8 @@ enum SubmissionRef {
     Stage { item: usize, stage: usize },
 }
 
-/// Where one stage of a DAG instance stands.  It is the only per-stage
-/// record: the DAG's fate and every [`DagServeStats`] counter derive from it.
+/// Where one stage of a DAG instance stands.  The DAG's fate and every
+/// [`DagServeStats`] counter derive from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StageState {
     /// Not submitted yet: parents pending, or dependency-ready in `ready`.
@@ -146,6 +146,24 @@ enum StageState {
     Shed,
 }
 
+/// Orchestrator-side state of one stage of a DAG instance: its only
+/// per-stage record.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    /// Class the stage is submitted under (inheritance applied).
+    class: SloClass,
+    /// Deadline budget ([`split_dag_deadline`]).
+    deadline: u64,
+    /// Think gap of this instance before the stage.
+    gap: u64,
+    state: StageState,
+    /// Parents still unserved.
+    pending_parents: usize,
+    /// Running `max(parent finish + gap)` — the dependency-ready time once
+    /// `pending_parents` hits zero.
+    ready: u64,
+}
+
 /// Orchestrator-side state of one DAG instance.
 #[derive(Debug)]
 struct DagInstance {
@@ -153,26 +171,15 @@ struct DagInstance {
     arrival: u64,
     deadline: u64,
     class: SloClass,
-    /// Class each stage is submitted under (inheritance applied).
-    effective: Vec<SloClass>,
-    /// Per-stage deadline budgets ([`split_dag_deadline`]).
-    stage_deadlines: Vec<u64>,
-    /// Think gaps of this instance.
-    gaps: Vec<u64>,
-    states: Vec<StageState>,
-    /// Parents still unserved, per stage.
-    pending_parents: Vec<usize>,
-    /// Running `max(parent finish + gap)` per stage — the dependency-ready
-    /// time once `pending_parents` hits zero.
-    child_ready: Vec<u64>,
+    stages: Vec<Stage>,
 }
 
 impl DagInstance {
     /// Whether a stage was rejected or shed: the DAG submits nothing more.
     fn failed(&self) -> bool {
-        self.states
+        self.stages
             .iter()
-            .any(|s| matches!(s, StageState::Rejected | StageState::Shed))
+            .any(|s| matches!(s.state, StageState::Rejected | StageState::Shed))
     }
 }
 
@@ -180,7 +187,7 @@ impl DagInstance {
 #[derive(Debug)]
 enum Item {
     Point { resolved: bool },
-    Dag(Box<DagInstance>),
+    Dag(DagInstance),
 }
 
 /// Multi-stage orchestration over a [`FleetSession`] — see the
@@ -193,7 +200,12 @@ pub struct DagOrchestrator<'rt> {
     templates: Vec<DagTemplate>,
     /// Child lists per template, derived once.
     children: Vec<Vec<Vec<usize>>>,
+    /// Per template and DAG class ([`SloClass::index`]), each stage's
+    /// class under priority inheritance, derived once.
+    inherited: Vec<Vec<Vec<SloClass>>>,
     cost: CostModel,
+    /// Reused by [`split_dag_deadline`] for every arriving DAG.
+    budgets: Vec<u64>,
     items: Vec<Item>,
     /// Fleet submission index -> orchestrator item/stage.
     submissions: Vec<SubmissionRef>,
@@ -225,11 +237,17 @@ impl<'rt> DagOrchestrator<'rt> {
             template.validate();
         }
         let children = templates.iter().map(DagTemplate::children).collect();
+        let inherited = templates
+            .iter()
+            .map(|t| SloClass::ALL.map(|c| t.inherited_classes(c)).to_vec())
+            .collect();
         Self {
             fleet: FleetSession::new(runtime, fleet, faults),
             config,
             children,
+            inherited,
             cost: runtime.cost_model(),
+            budgets: Vec::new(),
             templates,
             items: Vec::new(),
             submissions: Vec::new(),
@@ -329,32 +347,41 @@ impl<'rt> DagOrchestrator<'rt> {
             backlog / self.fleet.shards() as u64 > admission.cap_for(dag.slo)
         });
         let template = &self.templates[dag.template];
-        let effective = if self.config.inherit_priority && !shed {
-            template.inherited_classes(dag.slo)
-        } else {
-            (0..stages)
-                .map(|s| template.own_class(s, dag.slo))
-                .collect()
-        };
+        split_dag_deadline(
+            template,
+            &dag.stage_gaps,
+            &self.cost,
+            dag.arrival_cycles,
+            dag.deadline_cycles,
+            &mut self.budgets,
+        );
+        let inherit = self.config.inherit_priority && !shed;
+        let inherited = &self.inherited[dag.template][dag.slo.index()];
+        let records = template
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(s, spec)| Stage {
+                class: if inherit {
+                    inherited[s]
+                } else {
+                    template.own_class(s, dag.slo)
+                },
+                deadline: self.budgets[s],
+                gap: dag.stage_gaps[s],
+                state: StageState::Waiting,
+                pending_parents: spec.parents.len(),
+                ready: dag.arrival_cycles,
+            })
+            .collect();
         let item = self.items.len();
-        self.items.push(Item::Dag(Box::new(DagInstance {
+        self.items.push(Item::Dag(DagInstance {
             template: dag.template,
             arrival: dag.arrival_cycles,
             deadline: dag.deadline_cycles,
             class: dag.slo,
-            effective,
-            stage_deadlines: split_dag_deadline(
-                template,
-                &dag.stage_gaps,
-                &self.cost,
-                dag.arrival_cycles,
-                dag.deadline_cycles,
-            ),
-            gaps: dag.stage_gaps.clone(),
-            states: vec![StageState::Waiting; stages],
-            pending_parents: template.stages.iter().map(|s| s.parents.len()).collect(),
-            child_ready: vec![dag.arrival_cycles; stages],
-        })));
+            stages: records,
+        }));
         if shed {
             self.fail_dag(item);
             return item;
@@ -461,11 +488,11 @@ impl<'rt> DagOrchestrator<'rt> {
             let template = &self.templates[dag.template];
             let class = dag.class.index();
             totals[class] += 1;
-            promotions += (0..dag.effective.len())
-                .filter(|&s| dag.effective[s] > template.own_class(s, dag.class))
+            promotions += (0..dag.stages.len())
+                .filter(|&s| dag.stages[s].class > template.own_class(s, dag.class))
                 .count();
-            for state in &dag.states {
-                match state {
+            for stage in &dag.stages {
+                match stage.state {
                     StageState::Served(_) => served += 1,
                     StageState::Rejected => rejected += 1,
                     StageState::Shed => shed += 1,
@@ -474,10 +501,13 @@ impl<'rt> DagOrchestrator<'rt> {
                     }
                 }
             }
-            let last_finish = dag.states.iter().try_fold(0, |last, state| match *state {
-                StageState::Served(at) => Some(last.max(at)),
-                _ => None,
-            });
+            let last_finish = dag
+                .stages
+                .iter()
+                .try_fold(0, |last, stage| match stage.state {
+                    StageState::Served(at) => Some(last.max(at)),
+                    _ => None,
+                });
             if let Some(finish) = last_finish {
                 e2e[class].record(finish.saturating_sub(dag.arrival));
                 misses[class] += usize::from(finish > dag.deadline);
@@ -555,12 +585,13 @@ impl<'rt> DagOrchestrator<'rt> {
             unreachable!("stages only exist on DAG items");
         };
         debug_assert!(!instance.failed(), "failed DAGs never submit");
-        instance.states[stage] = StageState::Submitted;
+        let record = &mut instance.stages[stage];
+        record.state = StageState::Submitted;
         let request = TraceRequest {
             model: self.templates[instance.template].stages[stage].model,
             arrival_cycles: ready_at,
-            deadline_cycles: instance.stage_deadlines[stage],
-            slo: instance.effective[stage],
+            deadline_cycles: record.deadline,
+            slo: record.class,
         };
         self.submissions.push(SubmissionRef::Stage { item, stage });
         self.fleet.submit(request);
@@ -618,37 +649,37 @@ impl<'rt> DagOrchestrator<'rt> {
             unreachable!("stage submission maps to a DAG item");
         };
         debug_assert_eq!(
-            instance.states[stage],
+            instance.stages[stage].state,
             StageState::Submitted,
             "stage resolved twice"
         );
         self.outcomes.push_back(StageOutcome {
             item,
             stage,
-            stages: instance.states.len(),
+            stages: instance.stages.len(),
             dag: true,
             model: self.templates[instance.template].stages[stage].model,
-            class: instance.effective[stage],
+            class: instance.stages[stage].class,
             status: StageStatus::Fleet { shard, status },
         });
         match status {
             CompletionStatus::Served { finish_cycles, .. } => {
-                instance.states[stage] = StageState::Served(finish_cycles);
+                instance.stages[stage].state = StageState::Served(finish_cycles);
                 if !instance.failed() {
                     let children = &self.children[instance.template][stage];
                     for &child in children {
-                        let ready = finish_cycles.saturating_add(instance.gaps[child]);
-                        instance.child_ready[child] = instance.child_ready[child].max(ready);
-                        instance.pending_parents[child] -= 1;
-                        if instance.pending_parents[child] == 0 {
-                            self.ready
-                                .insert((instance.child_ready[child], item, child));
+                        let child_stage = &mut instance.stages[child];
+                        let ready = finish_cycles.saturating_add(child_stage.gap);
+                        child_stage.ready = child_stage.ready.max(ready);
+                        child_stage.pending_parents -= 1;
+                        if child_stage.pending_parents == 0 {
+                            self.ready.insert((child_stage.ready, item, child));
                         }
                     }
                 }
             }
             CompletionStatus::Rejected { .. } => {
-                instance.states[stage] = StageState::Rejected;
+                instance.stages[stage].state = StageState::Rejected;
                 self.fail_dag(item);
             }
         }
@@ -659,21 +690,20 @@ impl<'rt> DagOrchestrator<'rt> {
         let Item::Dag(instance) = &mut self.items[item] else {
             unreachable!("stage submission maps to a DAG item");
         };
+        let stages = instance.stages.len();
+        let record = &mut instance.stages[stage];
         assert!(
-            matches!(
-                instance.states[stage],
-                StageState::Waiting | StageState::Submitted
-            ),
+            matches!(record.state, StageState::Waiting | StageState::Submitted),
             "stage shed twice"
         );
-        instance.states[stage] = StageState::Shed;
+        record.state = StageState::Shed;
         self.outcomes.push_back(StageOutcome {
             item,
             stage,
-            stages: instance.states.len(),
+            stages,
             dag: true,
             model: self.templates[instance.template].stages[stage].model,
-            class: instance.effective[stage],
+            class: record.class,
             status: StageStatus::Shed,
         });
     }
@@ -686,8 +716,8 @@ impl<'rt> DagOrchestrator<'rt> {
         let Item::Dag(instance) = &self.items[item] else {
             unreachable!("only DAG items fail");
         };
-        let waiting: Vec<usize> = (0..instance.states.len())
-            .filter(|&s| instance.states[s] == StageState::Waiting)
+        let waiting: Vec<usize> = (0..instance.stages.len())
+            .filter(|&s| instance.stages[s].state == StageState::Waiting)
             .collect();
         if waiting.is_empty() {
             return;

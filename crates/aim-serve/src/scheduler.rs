@@ -186,41 +186,44 @@ pub struct CostModel {
 /// A degenerate all-zero-cost DAG (every `L(s)` = 0) grants every stage the
 /// full deadline.
 ///
+/// The budgets replace the contents of `budgets`, one per stage, which also
+/// holds the path lengths while they are summed: a caller that keeps the
+/// buffer allocates nothing once it has grown to the widest template.
+///
 /// # Panics
 ///
-/// Panics if `gaps` is not one gap per stage, or a stage's model has no
-/// cost entry.
-#[must_use]
+/// Panics if `gaps` is not one gap per stage, a parent does not precede its
+/// stage, or a stage's model has no cost entry.
 pub fn split_dag_deadline(
     template: &DagTemplate,
     gaps: &[u64],
     cost: &CostModel,
     arrival_cycles: u64,
     deadline_cycles: u64,
-) -> Vec<u64> {
+    budgets: &mut Vec<u64>,
+) {
     assert_eq!(gaps.len(), template.stages.len(), "one think gap per stage");
     let slack = deadline_cycles.saturating_sub(arrival_cycles);
-    let mut path = vec![0u64; template.stages.len()];
+    budgets.clear();
     for (i, stage) in template.stages.iter().enumerate() {
+        // Parents precede their stage, so their path lengths are in place.
         let upstream = stage
             .parents
             .iter()
-            .map(|&p| path[p].saturating_add(gaps[i]))
+            .map(|&p| budgets[p].saturating_add(gaps[i]))
             .max()
             .unwrap_or(0);
-        path[i] = upstream.saturating_add(cost.exec_cycles[stage.model]);
+        budgets.push(upstream.saturating_add(cost.exec_cycles[stage.model]));
     }
-    let longest = path.iter().copied().max().unwrap_or(0);
-    path.iter()
-        .map(|&l| {
-            if longest == 0 {
-                deadline_cycles
-            } else {
-                let share = u128::from(slack) * u128::from(l) / u128::from(longest);
-                arrival_cycles.saturating_add(share as u64)
-            }
-        })
-        .collect()
+    let longest = budgets.iter().copied().max().unwrap_or(0);
+    for budget in budgets.iter_mut() {
+        *budget = if longest == 0 {
+            deadline_cycles
+        } else {
+            let share = u128::from(slack) * u128::from(*budget) / u128::from(longest);
+            arrival_cycles.saturating_add(share as u64)
+        };
+    }
 }
 
 #[cfg(test)]
@@ -362,7 +365,8 @@ mod tests {
         // of the slack, with the tail landing exactly on the DAG deadline.
         let template = DagTemplate::cascade("c", &[0, 0, 0]);
         let cost = flat_cost(1_000, 500, 1);
-        let split = split_dag_deadline(&template, &[0, 0, 0], &cost, 10_000, 40_000);
+        let mut split = Vec::new();
+        split_dag_deadline(&template, &[0, 0, 0], &cost, 10_000, 40_000, &mut split);
         assert_eq!(split, vec![20_000, 30_000, 40_000]);
     }
 
@@ -373,7 +377,8 @@ mod tests {
         // Paths are 1000 and 4000, so turn 1 gets 1/4 of the slack.
         let template = DagTemplate::conversation("chat", 0, 2, 1);
         let cost = flat_cost(1_000, 0, 1);
-        let split = split_dag_deadline(&template, &[0, 2_000], &cost, 0, 8_000);
+        let mut split = Vec::new();
+        split_dag_deadline(&template, &[0, 2_000], &cost, 0, 8_000, &mut split);
         assert_eq!(split, vec![2_000, 8_000]);
     }
 
@@ -387,7 +392,8 @@ mod tests {
             exec_cycles: vec![1_000, 500, 2_000],
             reload_cycles: vec![0, 0, 0],
         };
-        let split = split_dag_deadline(&template, &[0; 4], &cost, 0, 8_000);
+        let mut split = Vec::new();
+        split_dag_deadline(&template, &[0; 4], &cost, 0, 8_000, &mut split);
         // Paths: 1000, 1500, 3000, 4000 -> slack shares 2000/3000/6000/8000.
         assert_eq!(split, vec![2_000, 3_000, 6_000, 8_000]);
     }
@@ -397,7 +403,8 @@ mod tests {
         use workloads::dag::DagTemplate;
         let template = DagTemplate::cascade("z", &[0, 0]);
         let cost = flat_cost(0, 0, 1);
-        let split = split_dag_deadline(&template, &[0, 0], &cost, 5, 99);
+        let mut split = Vec::new();
+        split_dag_deadline(&template, &[0, 0], &cost, 5, 99, &mut split);
         assert_eq!(split, vec![99, 99]);
     }
 }

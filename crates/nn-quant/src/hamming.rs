@@ -183,6 +183,35 @@ pub struct InterpolatedHr {
     pub gradient: f64,
 }
 
+/// Lattice cell of the coordinate `x = w / s`: `⌊x⌋`, and whether `x` sits
+/// on a lattice point (`⌊x⌋ == ⌈x⌉`, where Eq. 5's gradient is 0).
+///
+/// Below 2⁵², where every integer is an exact `f64`, a truncating cast and
+/// a one-step correction give both: the default x86-64 target has no
+/// SSE4.1 `roundsd`, so `floor` and `ceil` are soft-float calls there.
+/// Non-finite `x` and `|x| ≥ 2⁵²` (always integral) take `floor`/`ceil`;
+/// either way the result equals `(x.floor(), (x.floor() - x.ceil()).abs()
+/// < f64::EPSILON)` bit for bit.
+#[inline]
+#[must_use]
+pub(crate) fn lattice_cell(x: f64) -> (f64, bool) {
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0; // 2^52
+    if x.abs() < INTEGRAL {
+        let truncated = (x as i64) as f64;
+        if truncated == x {
+            return (x, true);
+        }
+        let low = if x < truncated {
+            truncated - 1.0
+        } else {
+            truncated
+        };
+        return (low, false);
+    }
+    let low = x.floor();
+    (low, (low - x.ceil()).abs() < f64::EPSILON)
+}
+
 /// Interpolated HR of a floating-point weight `w` under scale `s` (Eq. 5).
 ///
 /// `low = ⌊w/s⌋`, `high = ⌈w/s⌉`, `p = w/s − low`, and
@@ -197,9 +226,8 @@ pub struct InterpolatedHr {
 pub fn interpolated_hr(w: f64, scale: f64, table: &HrTable) -> InterpolatedHr {
     assert!(scale > 0.0, "quantization scale must be positive");
     let x = w / scale;
-    let low = x.floor();
-    let high = x.ceil();
-    if (low - high).abs() < f64::EPSILON {
+    let (low, on_lattice) = lattice_cell(x);
+    if on_lattice {
         return InterpolatedHr {
             value: table.hr(low as i32),
             gradient: 0.0,
@@ -207,7 +235,7 @@ pub fn interpolated_hr(w: f64, scale: f64, table: &HrTable) -> InterpolatedHr {
     }
     let p = x - low;
     let hr_low = table.hr(low as i32);
-    let hr_high = table.hr(high as i32);
+    let hr_high = table.hr((low + 1.0) as i32);
     InterpolatedHr {
         value: (1.0 - p) * hr_low + p * hr_high,
         gradient: (hr_high - hr_low) / scale,
@@ -241,24 +269,36 @@ pub fn smoothed_hr_gradient(w: f64, scale: f64, table: &HrTable, radius_lsb: u32
 }
 
 /// Precomputed lookup for [`smoothed_hr_gradient`] at a fixed scale and
-/// radius.
+/// radius, and for the interpolated HR of Eq. 5 under the same table.
 ///
 /// The gradient of the interpolated HR (Eq. 5) is piecewise constant on each
 /// lattice cell `[q·s, (q+1)·s)`, so the box-smoothed gradient is too: it
 /// only depends on `q = ⌊w/s⌋`.  Precomputing one slope per cell turns the
 /// `2·radius + 1` interpolations per weight of the training hot loop into a
 /// single table lookup.  At exact lattice points the gradient is 0, matching
-/// [`interpolated_hr`].
+/// [`interpolated_hr`].  Each cell also keeps the HR at both of its ends, so
+/// the training loop reads a weight's interpolated HR and slope from one
+/// entry.
 #[derive(Debug, Clone)]
 pub struct SmoothedHrSlopes {
     scale: f64,
-    /// Slope (per float unit) for cell `q`, indexed by `q - q_min`.
-    slopes: Vec<f64>,
+    /// Cell `q`, indexed by `q - q_min`.
+    cells: Vec<CellHr>,
     q_min: i64,
 }
 
+/// One lattice cell `[q, q + 1)`: the HR at both ends (clamped to the
+/// representable range, as [`HrTable::hr`] does) and the smoothed slope.
+#[derive(Debug, Clone, Copy)]
+struct CellHr {
+    hr_low: f64,
+    hr_high: f64,
+    /// Smoothed slope, per float unit.
+    slope: f64,
+}
+
 impl SmoothedHrSlopes {
-    /// Builds the per-cell slope table.
+    /// Builds the per-cell table.
     ///
     /// # Panics
     ///
@@ -267,27 +307,29 @@ impl SmoothedHrSlopes {
     pub fn new(table: &HrTable, scale: f64, radius_lsb: u32) -> Self {
         assert!(scale > 0.0, "quantization scale must be positive");
         let r = i64::from(radius_lsb);
+        let hr = |cell: i64| table.hr(cell.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32);
         // Outside [min - r - 1, max + r] every contributing cell is clamped
-        // flat, so its smoothed slope is exactly 0.
+        // flat, so its smoothed slope is exactly 0, and both ends of the
+        // cell have the HR of the nearest representable integer — as the
+        // end cells of the table do.
         let q_min = i64::from(table.min_value()) - r - 1;
         let q_max = i64::from(table.max_value()) + r;
-        let slopes = (q_min..=q_max)
+        let cells = (q_min..=q_max)
             .map(|q| {
                 let mut sum = 0.0;
                 for k in -r..=r {
-                    let cell = q + k;
-                    let hr_low =
-                        table.hr(cell.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32);
-                    let hr_high =
-                        table.hr((cell + 1).clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32);
-                    sum += (hr_high - hr_low) / scale;
+                    sum += (hr(q + k + 1) - hr(q + k)) / scale;
                 }
-                sum / (2 * r + 1) as f64
+                CellHr {
+                    hr_low: hr(q),
+                    hr_high: hr(q + 1),
+                    slope: sum / (2 * r + 1) as f64,
+                }
             })
             .collect();
         Self {
             scale,
-            slopes,
+            cells,
             q_min,
         }
     }
@@ -295,34 +337,37 @@ impl SmoothedHrSlopes {
     /// Smoothed gradient at `w` (per float unit), via one table lookup.
     #[must_use]
     pub fn gradient(&self, w: f64) -> f64 {
-        let x = w / self.scale;
-        let low = x.floor();
-        if (low - x.ceil()).abs() < f64::EPSILON {
+        let (low, on_lattice) = lattice_cell(w / self.scale);
+        if on_lattice {
             // Exact lattice point: Eq. 5 defines the gradient as 0.
             return 0.0;
         }
-        let idx =
-            (low as i64).clamp(self.q_min, self.q_min + self.slopes.len() as i64 - 1) - self.q_min;
-        self.slopes[idx as usize]
+        self.cell(low).slope
     }
-}
 
-/// Mean interpolated HR of a float slice (the value half of
-/// [`layer_interpolated_hr`], without materialising the gradient vector).
-///
-/// # Panics
-///
-/// Panics if `scale` is not strictly positive.
-#[must_use]
-pub fn layer_mean_hr(weights: &[f32], scale: f64, table: &HrTable) -> f64 {
-    if weights.is_empty() {
-        return 0.0;
+    /// Interpolated HR (Eq. 5) of `w` under the table this lookup was built
+    /// from, and the smoothed gradient at `w`, from one division and one
+    /// cell: equal bit for bit to `interpolated_hr(w, scale, table).value`
+    /// and `self.gradient(w)`.
+    #[inline]
+    #[must_use]
+    pub(crate) fn hr_and_gradient(&self, w: f64) -> (f64, f64) {
+        let x = w / self.scale;
+        let (low, on_lattice) = lattice_cell(x);
+        let cell = self.cell(low);
+        if on_lattice {
+            return (cell.hr_low, 0.0);
+        }
+        let p = x - low;
+        ((1.0 - p) * cell.hr_low + p * cell.hr_high, cell.slope)
     }
-    let mut sum = 0.0;
-    for &w in weights {
-        sum += interpolated_hr(f64::from(w), scale, table).value;
+
+    /// The cell `⌊x⌋ = low`, clamped to the table.
+    #[inline]
+    fn cell(&self, low: f64) -> CellHr {
+        let last = self.q_min + self.cells.len() as i64 - 1;
+        self.cells[((low as i64).clamp(self.q_min, last) - self.q_min) as usize]
     }
-    sum / weights.len() as f64
 }
 
 /// Mean interpolated HR of a float slice together with its per-element
@@ -345,6 +390,45 @@ pub fn layer_interpolated_hr(weights: &[f32], scale: f64, table: &HrTable) -> (f
         grads.push(h.gradient / n);
     }
     (sum / n, grads)
+}
+
+/// The `floor`/`ceil` formulations [`lattice_cell`] replaced, kept as test
+/// oracles for the interpolated HR and the slope-table lookup.
+#[cfg(test)]
+pub(crate) mod floor_reference {
+    use super::{HrTable, InterpolatedHr, SmoothedHrSlopes};
+
+    /// [`super::interpolated_hr`] with the cell from `floor`/`ceil`.
+    pub(crate) fn interpolated_hr(w: f64, scale: f64, table: &HrTable) -> InterpolatedHr {
+        let x = w / scale;
+        let low = x.floor();
+        let high = x.ceil();
+        if (low - high).abs() < f64::EPSILON {
+            return InterpolatedHr {
+                value: table.hr(low as i32),
+                gradient: 0.0,
+            };
+        }
+        let p = x - low;
+        let hr_low = table.hr(low as i32);
+        let hr_high = table.hr(high as i32);
+        InterpolatedHr {
+            value: (1.0 - p) * hr_low + p * hr_high,
+            gradient: (hr_high - hr_low) / scale,
+        }
+    }
+
+    /// [`SmoothedHrSlopes::gradient`] with the cell from `floor`/`ceil`.
+    pub(crate) fn gradient(slopes: &SmoothedHrSlopes, w: f64) -> f64 {
+        let x = w / slopes.scale;
+        let low = x.floor();
+        if (low - x.ceil()).abs() < f64::EPSILON {
+            return 0.0;
+        }
+        let idx = (low as i64).clamp(slopes.q_min, slopes.q_min + slopes.cells.len() as i64 - 1)
+            - slopes.q_min;
+        slopes.cells[idx as usize].slope
+    }
 }
 
 #[cfg(test)]
@@ -552,15 +636,82 @@ mod tests {
         assert_eq!(slopes.gradient(-400.5), 0.0);
     }
 
+    /// Coordinates where a cell computation can go wrong: signed zeros,
+    /// integers, one ulp either side of them, both sides of 2⁵², and the
+    /// non-finite values.
+    fn edge_coordinates() -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let two_52 = 4_503_599_627_370_496.0f64;
+        for k in [1.0, 3.0, 8.0, 127.0, 128.0, 1e6, two_52, 2.0 * two_52] {
+            for v in [k, -k] {
+                xs.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        xs
+    }
+
     #[test]
-    fn layer_mean_hr_matches_full_computation() {
+    fn lattice_cell_matches_floor_and_ceil() {
+        for x in edge_coordinates() {
+            let (low, on_lattice) = lattice_cell(x);
+            let floor = x.floor();
+            assert_eq!(low.to_bits(), floor.to_bits(), "floor of {x:e}");
+            assert_eq!(
+                on_lattice,
+                (floor - x.ceil()).abs() < f64::EPSILON,
+                "lattice test of {x:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn cell_lookups_match_the_floor_formulation() {
         let table = HrTable::new(8);
-        let weights: Vec<f32> = (0..257).map(|i| (i as f32) * 0.37 - 40.0).collect();
-        let (mean, _) = layer_interpolated_hr(&weights, 0.5, &table);
-        assert_eq!(
-            layer_mean_hr(&weights, 0.5, &table).to_bits(),
-            mean.to_bits()
-        );
+        for scale in [1.0, 0.043] {
+            let slopes = SmoothedHrSlopes::new(&table, scale, 4);
+            for x in edge_coordinates() {
+                let w = x * scale;
+                let old = floor_reference::interpolated_hr(w, scale, &table);
+                let new = interpolated_hr(w, scale, &table);
+                assert_eq!(new.value.to_bits(), old.value.to_bits(), "value at {w:e}");
+                assert_eq!(
+                    new.gradient.to_bits(),
+                    old.gradient.to_bits(),
+                    "gradient at {w:e}"
+                );
+                let slope = floor_reference::gradient(&slopes, w);
+                assert_eq!(
+                    slopes.gradient(w).to_bits(),
+                    slope.to_bits(),
+                    "slope at {w:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hr_and_gradient_matches_the_separate_lookups() {
+        let table = HrTable::new(8);
+        let slopes = SmoothedHrSlopes::new(&table, 0.5, 4);
+        let weights = (0..257).map(|i| f64::from(i as f32 * 0.37 - 40.0));
+        for w in weights.chain(edge_coordinates()) {
+            let (value, gradient) = slopes.hr_and_gradient(w);
+            let expected = interpolated_hr(w, 0.5, &table).value;
+            assert_eq!(value.to_bits(), expected.to_bits(), "value at {w:e}");
+            assert_eq!(gradient.to_bits(), slopes.gradient(w).to_bits());
+        }
     }
 
     #[test]

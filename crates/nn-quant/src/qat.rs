@@ -21,7 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::hamming::{layer_mean_hr, HrTable, SmoothedHrSlopes};
+use crate::hamming::{HrTable, SmoothedHrSlopes};
 use crate::lhr::LhrConfig;
 use crate::quant::{QuantScheme, QuantizedLayer};
 use crate::tensor::Tensor;
@@ -31,7 +31,9 @@ use crate::tensor::Tensor;
 pub struct QatConfig {
     /// Weight precision in bits (8 or 4 in the paper's experiments).
     pub bits: u32,
-    /// Number of optimisation epochs (full passes over the weights).
+    /// Number of optimisation epochs (full passes over the weights).  The
+    /// loop stops early at the first epoch that moves no weight, since every
+    /// later epoch would repeat it.
     pub epochs: usize,
     /// Learning rate of the plain SGD update, expressed in LSB per unit
     /// gradient (the update is scaled by the quantization scale internally).
@@ -113,21 +115,28 @@ impl QatOutcome {
 #[must_use]
 pub fn train_layer(name: &str, original: &Tensor, config: &QatConfig) -> QatOutcome {
     let scheme = QuantScheme::fit(original, config.bits);
-    let table: HrTable = scheme.hr_table();
-    let scale = scheme.scale();
+    let trained = train_weights(original.data(), scheme.scale(), config);
+    outcome(name, original, scheme, trained)
+}
 
-    let baseline = QuantizedLayer::from_tensor(name, original, config.bits);
-    let hr_before = baseline.hamming_rate();
-
-    let mut weights: Vec<f32> = original.data().to_vec();
-    let original_std = f64::from(original.std()).max(1e-12);
-
-    // The smoothed-HR slope is piecewise constant per lattice cell, so one
-    // table sized to this layer's scale serves every weight of every epoch.
-    let slopes = config
+/// The epoch loop: trains a copy of `original` under the fixed `scale` and
+/// returns the float weights.
+///
+/// Each epoch is one pass.  It updates every weight with the slope of the
+/// lattice cell the previous pass cached for it, and adds the weight's new
+/// interpolated HR into the next epoch's mean in index order, so the mean
+/// is the one a separate pass over the updated weights would sum.  An
+/// epoch reads nothing but the weights (and that mean, which derives from
+/// them), so once an epoch moves no weight every later epoch would repeat
+/// it: the loop stops there.  The baseline recipe, whose weights start at
+/// their anchors inside the dead zone, stops after one epoch.
+fn train_weights(original: &[f32], scale: f64, config: &QatConfig) -> Vec<f32> {
+    let mut weights = original.to_vec();
+    let mut lhr = config
         .lhr
-        .map(|_| SmoothedHrSlopes::new(&table, scale, config.lhr_smoothing_radius_lsb));
-
+        .map(|cfg| LhrState::new(cfg.lambda, &weights, scale, config));
+    let step = config.learning_rate * scale;
+    let dead_zone = config.anchor_dead_zone_lsb;
     for _ in 0..config.epochs {
         // Both gradient terms are expressed in LSB (lattice) units so that
         // their balance is independent of the layer's quantization scale:
@@ -137,30 +146,88 @@ pub fn train_layer(name: &str, original: &Tensor, config: &QatConfig) -> QatOutc
         //   original value, linear pull back beyond that;
         // * LHR gradient — slope of the interpolated HR (per lattice unit),
         //   scaled by λ, pulling towards the nearest low-HR lattice point.
-        let lhr = config
-            .lhr
-            .map(|cfg| (cfg.lambda, layer_mean_hr(&weights, scale, &table)));
-        for (i, w) in weights.iter_mut().enumerate() {
-            let displacement_lsb = (f64::from(*w) - f64::from(original.data()[i])) / scale;
-            let task_grad_lsb = displacement_lsb
-                - displacement_lsb.clamp(-config.anchor_dead_zone_lsb, config.anchor_dead_zone_lsb);
+        //   ∂(HR²)/∂w = 2·HR·∂HR/∂w, where 2·HR is fixed for the epoch; the
+        //   smoothed slope is per float unit, so the scale turns it per LSB.
+        let pull = lhr
+            .as_ref()
+            .map_or(0.0, |state| state.lambda * 2.0 * state.mean_hr);
+        let mut hr_sum = 0.0;
+        let mut moved = false;
+        for (i, (w, &anchor)) in weights.iter_mut().zip(original).enumerate() {
+            let displacement_lsb = (f64::from(*w) - f64::from(anchor)) / scale;
+            let task_grad_lsb = displacement_lsb - displacement_lsb.clamp(-dead_zone, dead_zone);
             let reg_grad_lsb = match &lhr {
-                // ∂(HR²)/∂w = 2·HR·∂HR/∂w; the smoothed slope is per float
-                // unit, so multiply by the scale to express it per LSB.
-                Some((lambda, mean_hr)) => {
-                    let slope = slopes
-                        .as_ref()
-                        .expect("slope table exists whenever LHR is on")
-                        .gradient(f64::from(*w));
-                    lambda * 2.0 * mean_hr * slope * scale
-                }
+                Some(state) => pull * state.cell_slopes[i] * scale,
                 None => 0.0,
             };
-            *w -= (config.learning_rate * scale * (task_grad_lsb + reg_grad_lsb)) as f32;
+            let updated = *w - (step * (task_grad_lsb + reg_grad_lsb)) as f32;
+            moved |= updated.to_bits() != w.to_bits();
+            *w = updated;
+            if let Some(state) = &mut lhr {
+                let (hr, slope) = state.slopes.hr_and_gradient(f64::from(updated));
+                hr_sum += hr;
+                state.cell_slopes[i] = slope;
+            }
+        }
+        if let Some(state) = &mut lhr {
+            state.mean_hr = mean(hr_sum, weights.len());
+        }
+        if !moved {
+            break;
         }
     }
+    weights
+}
 
-    let trained = Tensor::from_vec(original.shape().to_vec(), weights);
+/// What the LHR term carries from one epoch to the next, all of the
+/// current weights.
+struct LhrState {
+    lambda: f64,
+    /// The smoothed-HR slope is piecewise constant per lattice cell, so one
+    /// table sized to this layer's scale serves every weight of every epoch.
+    slopes: SmoothedHrSlopes,
+    /// Smoothed slope of each weight's lattice cell.
+    cell_slopes: Vec<f64>,
+    /// Mean interpolated HR of the weights.
+    mean_hr: f64,
+}
+
+impl LhrState {
+    fn new(lambda: f64, weights: &[f32], scale: f64, config: &QatConfig) -> Self {
+        let table = HrTable::new(config.bits);
+        let slopes = SmoothedHrSlopes::new(&table, scale, config.lhr_smoothing_radius_lsb);
+        let mut hr_sum = 0.0;
+        let cell_slopes = weights
+            .iter()
+            .map(|&w| {
+                let (hr, slope) = slopes.hr_and_gradient(f64::from(w));
+                hr_sum += hr;
+                slope
+            })
+            .collect();
+        Self {
+            lambda,
+            slopes,
+            cell_slopes,
+            mean_hr: mean(hr_sum, weights.len()),
+        }
+    }
+}
+
+/// Mean of `len` values summing to `sum`; 0 for none.
+fn mean(sum: f64, len: usize) -> f64 {
+    if len == 0 {
+        0.0
+    } else {
+        sum / len as f64
+    }
+}
+
+/// Quantizes the trained weights under `scheme` and measures the run.
+fn outcome(name: &str, original: &Tensor, scheme: QuantScheme, trained: Vec<f32>) -> QatOutcome {
+    let hr_before = QuantizedLayer::from_tensor(name, original, scheme.bits()).hamming_rate();
+    let original_std = f64::from(original.std()).max(1e-12);
+    let trained = Tensor::from_vec(original.shape().to_vec(), trained);
     let layer = QuantizedLayer {
         name: name.to_string(),
         weights: scheme.quantize_tensor(&trained),
@@ -224,6 +291,120 @@ pub fn summarize(outcomes: &[QatOutcome]) -> NetworkHrSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hamming::floor_reference;
+    use proptest::prelude::*;
+
+    /// The two-pass epoch loop [`train_weights`] replaced, kept as its
+    /// reference: every epoch first sums the layer's mean interpolated HR in
+    /// a pass of its own, cells come from `floor`/`ceil`, and all `epochs`
+    /// epochs run.
+    fn two_pass_weights(original: &[f32], scale: f64, config: &QatConfig) -> Vec<f32> {
+        let table = HrTable::new(config.bits);
+        let mut weights = original.to_vec();
+        let slopes = config
+            .lhr
+            .map(|_| SmoothedHrSlopes::new(&table, scale, config.lhr_smoothing_radius_lsb));
+        for _ in 0..config.epochs {
+            let lhr = config.lhr.map(|cfg| {
+                let mut sum = 0.0;
+                for &w in &weights {
+                    sum += floor_reference::interpolated_hr(f64::from(w), scale, &table).value;
+                }
+                (cfg.lambda, mean(sum, weights.len()))
+            });
+            for (i, w) in weights.iter_mut().enumerate() {
+                let displacement_lsb = (f64::from(*w) - f64::from(original[i])) / scale;
+                let task_grad_lsb = displacement_lsb
+                    - displacement_lsb
+                        .clamp(-config.anchor_dead_zone_lsb, config.anchor_dead_zone_lsb);
+                let reg_grad_lsb = match &lhr {
+                    Some((lambda, mean_hr)) => {
+                        let slopes = slopes.as_ref().expect("slope table exists with LHR on");
+                        let slope = floor_reference::gradient(slopes, f64::from(*w));
+                        lambda * 2.0 * mean_hr * slope * scale
+                    }
+                    None => 0.0,
+                };
+                *w -= (config.learning_rate * scale * (task_grad_lsb + reg_grad_lsb)) as f32;
+            }
+        }
+        weights
+    }
+
+    /// A layer of `len` weights: `kind` 0 is empty, 1 a single Gaussian
+    /// weight, 2 and 3 Gaussian, 4 integer multiples of a power of two
+    /// with the largest at the top of the range, so every weight sits on a
+    /// lattice point of the fitted scale.
+    fn layer(kind: usize, len: usize, std: f64, seed: u64, bits: u32) -> Tensor {
+        let len = match kind {
+            0 => 0,
+            1 => 1,
+            _ => len,
+        };
+        if kind < 4 {
+            return Tensor::randn(vec![len], std as f32, seed);
+        }
+        let qmax = (1i64 << (bits - 1)) - 1;
+        let unit = (-f64::from((seed % 8) as u32)).exp2() as f32;
+        let data = (0..len as i64)
+            .map(|i| {
+                let k = if i == 0 {
+                    qmax
+                } else {
+                    (i * 7919 + (seed % 1000) as i64) % (2 * qmax + 1) - qmax
+                };
+                k as f32 * unit
+            })
+            .collect();
+        Tensor::from_vec(vec![len], data)
+    }
+
+    proptest! {
+        #[test]
+        fn fused_loop_matches_the_two_pass_reference_bit_for_bit(
+            kind in 0usize..5,
+            len in 2usize..400,
+            std in 0.002f64..0.5,
+            seed in any::<u64>(),
+            bits in 2u32..9,
+            lambda in 0usize..4,
+            radius in 0usize..3,
+            dead_zone in 0usize..3,
+            epochs in 0usize..4,
+        ) {
+            let tensor = layer(kind, len, std, seed, bits);
+            let config = QatConfig {
+                epochs: [0, 1, 7, 120][epochs],
+                anchor_dead_zone_lsb: [0.0, 0.5, 4.0][dead_zone],
+                lhr_smoothing_radius_lsb: [0, 1, 4][radius],
+                lhr: [None, Some(0.05), Some(0.9), Some(4.0)][lambda].map(LhrConfig::new),
+                ..QatConfig::baseline(bits)
+            };
+            let scheme = QuantScheme::fit(&tensor, bits);
+            let reference = two_pass_weights(tensor.data(), scheme.scale(), &config);
+            let fused = train_weights(tensor.data(), scheme.scale(), &config);
+            prop_assert_eq!(fused.len(), reference.len());
+            let mismatch = fused
+                .iter()
+                .zip(&reference)
+                .position(|(a, b)| a.to_bits() != b.to_bits());
+            prop_assert!(
+                mismatch.is_none(),
+                "weight {mismatch:?} of {} differs under {config:?}",
+                fused.len()
+            );
+
+            let want = outcome("layer", &tensor, scheme, reference);
+            let got = train_layer("layer", &tensor, &config);
+            prop_assert_eq!(got.hr_before.to_bits(), want.hr_before.to_bits());
+            prop_assert_eq!(got.hr_after.to_bits(), want.hr_after.to_bits());
+            prop_assert_eq!(
+                got.relative_weight_shift.to_bits(),
+                want.relative_weight_shift.to_bits()
+            );
+            prop_assert_eq!(got.layer, want.layer);
+        }
+    }
 
     fn conv_like_tensor(seed: u64) -> Tensor {
         // A realistic conv layer: zero-mean, most weights within a few LSB.

@@ -1,16 +1,17 @@
 //! Golden-file pinning of the paper-figure outputs.
 //!
-//! The six figure/table binaries under `crates/bench/src/bin/` dump their
-//! results into `experiments/*.json`.  Every one of those simulations is
-//! seeded and aggregates in input order, so the dumps are deterministic —
-//! re-running a binary must reproduce the committed golden byte for byte.
+//! The seven figure/table binaries pinned here, from
+//! `crates/bench/src/bin/`, dump their results into `experiments/*.json`.
+//! Every one of those simulations is seeded and aggregates in input order,
+//! so the dumps are deterministic — re-running a binary must reproduce the
+//! committed golden byte for byte.
 //! The copies under `tests/goldens/` pin that: a pipeline refactor that
 //! silently drifts a figure shows up here as soon as the experiment is
 //! regenerated.
 //!
 //! `experiments/` is gitignored (the dumps are build artifacts), so a fresh
 //! checkout has no files to compare yet; dumps that are absent are skipped
-//! with a note.  The CI `serve` job regenerates all six binaries first and
+//! with a note.  The CI `serve` job regenerates all seven binaries first and
 //! then runs this test, which is where the byte-compare actually gates.
 //!
 //! Updating a golden is a deliberate act: regenerate the experiment, inspect
@@ -20,13 +21,14 @@ use std::fs;
 use std::path::PathBuf;
 
 /// The deterministic experiment dumps pinned byte-for-byte.
-const GOLDEN_EXPERIMENTS: [&str; 6] = [
+const GOLDEN_EXPERIMENTS: [&str; 7] = [
     "fig09_vf_sensitivity",
     "fig14_wds_delta_sweep",
     "fig17_current_traces",
     "fig18_beta_sweep",
     "fig19_ablation",
     "headline_results",
+    "table2_hr_reduction",
 ];
 
 fn repo_root() -> PathBuf {
