@@ -14,7 +14,7 @@
 //! runtime's sampled-verification mode measures the realised drift against
 //! it (see `aim-serve`).
 
-use pim_sim::backend::{AnalyticalBackend, Calibration, CycleAccurate, ExecutionBackend};
+use pim_sim::backend::{AnalyticalBackend, Calibration};
 use pim_sim::chip::SimSession;
 
 use crate::pipeline::{CompiledPlan, PlanExecution, RunAggregate};
@@ -120,9 +120,7 @@ impl AnalyticalPlan {
     /// execution.
     #[must_use]
     pub fn error_bound(&self) -> f64 {
-        self.backend
-            .error_bound()
-            .expect("analytical backends always report a bound")
+        self.backend.calibration().error_bound
     }
 
     /// The predicted total cycles under an *online* recalibration
@@ -168,23 +166,6 @@ impl AnalyticalPlan {
             },
         }
     }
-
-    /// Measures the realised relative cycle drift of the analytical
-    /// prediction against one cycle-accurate replay at `seed_offset`.
-    /// Returns `(analytical_cycles, accurate_cycles, relative_drift)`.
-    #[must_use]
-    pub fn drift_vs_cycle_accurate(
-        &self,
-        plan: &CompiledPlan,
-        session: &mut SimSession,
-        seed_offset: u64,
-    ) -> (u64, u64, f64) {
-        let accurate = plan.execute_on(&CycleAccurate, session, seed_offset);
-        let ana = self.execution.cycles;
-        let acc = accurate.cycles.max(1);
-        let drift = (ana as f64 - acc as f64).abs() / acc as f64;
-        (ana, accurate.cycles, drift)
-    }
 }
 
 #[cfg(test)]
@@ -192,6 +173,7 @@ mod tests {
     use super::*;
     use crate::booster::BoosterConfig;
     use crate::pipeline::AimConfig;
+    use pim_sim::backend::ExecutionBackend;
     use workloads::zoo::Model;
 
     fn quick(config: AimConfig) -> AimConfig {
@@ -222,9 +204,10 @@ mod tests {
         };
         let plan = CompiledPlan::compile(&Model::resnet18(), &config);
         let ana = AnalyticalPlan::calibrate(&plan);
-        let mut session = SimSession::new();
-        let (pred, actual, drift) = ana.drift_vs_cycle_accurate(&plan, &mut session, 0);
+        let pred = ana.execution().cycles;
+        let actual = plan.execute_with_session(&mut SimSession::new(), 0).cycles;
         assert!(actual > 0 && pred > 0);
+        let drift = (pred as f64 - actual as f64).abs() / actual as f64;
         assert!(
             drift <= ana.error_bound(),
             "drift {drift} exceeds self-reported bound {} (pred {pred}, actual {actual})",
@@ -260,12 +243,21 @@ mod tests {
         let b = AnalyticalPlan::calibrate(&plan);
         assert_eq!(a.execution(), b.execution());
         assert_eq!(a.error_bound(), b.error_bound());
-        // The prediction does not depend on the replay seed: executing the
-        // plan through the backend at any offset returns the same summary.
-        let mut session = SimSession::new();
-        let at_zero = plan.execute_on(a.backend(), &mut session, 0);
-        let at_seven = plan.execute_on(a.backend(), &mut session, 7);
-        assert_eq!(at_zero, at_seven);
-        assert_eq!(at_zero, a.execution());
+        // The prediction does not depend on the replay seed: every batch
+        // predicts the same report at any offset, and the batches sum to the
+        // cached summary.
+        let predict = |i, offset| {
+            let sim = plan.batch_simulator(i, offset);
+            let mut controller = plan.controller_for(&sim);
+            a.backend()
+                .run(&sim, controller.as_mut(), plan.batch_max_cycles(i))
+        };
+        let mut agg = RunAggregate::default();
+        for i in 0..plan.num_batches() {
+            let at_zero = predict(i, 0);
+            assert_eq!(at_zero, predict(i, 7));
+            agg.add(&at_zero);
+        }
+        assert_eq!(agg.summary(), a.execution());
     }
 }

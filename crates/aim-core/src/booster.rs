@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use ir_model::process::ProcessParams;
 use ir_model::vf::{LevelPercent, OperatingMode, VfTable};
 use pim_sim::chip::{ChipSimulator, ControllerDecision, GroupObservation, VfController};
-use pim_sim::group::{GroupId, MacroSet};
+use pim_sim::group::GroupId;
 
 /// Configuration of the IR-Booster controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -369,12 +369,6 @@ impl VfController for IrBoosterController {
     fn name(&self) -> &'static str {
         "ir-booster"
     }
-}
-
-/// Convenience: derives the set→groups topology from explicit macro sets.
-#[must_use]
-pub fn set_group_topology(sets: &[MacroSet], macros_per_group: usize) -> Vec<Vec<GroupId>> {
-    sets.iter().map(|s| s.groups(macros_per_group)).collect()
 }
 
 #[cfg(test)]

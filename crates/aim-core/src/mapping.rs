@@ -25,7 +25,7 @@ use ir_model::process::ProcessParams;
 use ir_model::vf::{OperatingMode, VfTable};
 use pim_sim::chip::MacroTask;
 use pim_sim::group::group_of;
-use pim_sim::stream::FlipSequence;
+use pim_sim::stream::FlipBank;
 
 /// One macro-sized slice of an operator, ready to be mapped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,15 +152,15 @@ pub fn map_tasks(
         slices.len()
     );
     let table = VfTable::derive_default(params);
-    let flips = FlipSequence::normal(100, 0.5, 0.15, 0x601D);
+    let mean_flip = mean_flip_fraction(0x601D);
     match strategy {
         MappingStrategy::Sequential => {
             let assignment = sequential_assignment(slices.len(), total);
-            single(assignment, slices, params, &table, mode, &flips)
+            single(assignment, slices, params, &table, mode, mean_flip)
         }
         MappingStrategy::Zigzag => {
             let assignment = zigzag_assignment(slices.len(), params);
-            single(assignment, slices, params, &table, mode, &flips)
+            single(assignment, slices, params, &table, mode, mean_flip)
         }
         MappingStrategy::Random { seed } => {
             let mut slots: Vec<usize> = (0..total).collect();
@@ -170,10 +170,19 @@ pub fn map_tasks(
             for (idx, &slot) in slots.iter().take(slices.len()).enumerate() {
                 assignment[slot] = Some(idx);
             }
-            single(assignment, slices, params, &table, mode, &flips)
+            single(assignment, slices, params, &table, mode, mean_flip)
         }
-        MappingStrategy::HrAware(config) => anneal(slices, params, &table, mode, &flips, &config),
+        MappingStrategy::HrAware(config) => {
+            anneal(slices, params, &table, mode, mean_flip, &config)
+        }
     }
+}
+
+/// Mean of the evaluator's 100-step input flip sequence (normal, mean 0.5,
+/// std 0.15) drawn from `seed`: the one statistic [`evaluate_mapping`] reads.
+fn mean_flip_fraction(seed: u64) -> f64 {
+    let flips = FlipBank::normal(1, 100, 0.5, 0.15, seed);
+    (0..100).map(|cycle| flips.at(0, cycle)).sum::<f64>() / 100.0
 }
 
 fn single(
@@ -182,9 +191,9 @@ fn single(
     params: &ProcessParams,
     table: &VfTable,
     mode: OperatingMode,
-    flips: &FlipSequence,
+    mean_flip: f64,
 ) -> MappingOutcome {
-    let evaluation = evaluate_mapping(&assignment, slices, params, table, mode, flips);
+    let evaluation = evaluate_mapping(&assignment, slices, params, table, mode, mean_flip);
     MappingOutcome {
         assignment,
         evaluation,
@@ -224,8 +233,8 @@ fn zigzag_assignment(n_slices: usize, params: &ProcessParams) -> Vec<Option<usiz
 /// The evaluation mirrors what the chip will do without running it cycle by
 /// cycle: each group's safe level comes from its worst mapped HR, the level
 /// picks a V-f pair under the operating mode, sets are capped at their
-/// slowest member's frequency, and power/delay follow from the flip-sequence
-/// statistics.
+/// slowest member's frequency, and power/delay follow from the mean input
+/// flip fraction `mean_flip` (each slice toggles at `HR × mean_flip`).
 #[must_use]
 pub fn evaluate_mapping(
     assignment: &[Option<usize>],
@@ -233,12 +242,11 @@ pub fn evaluate_mapping(
     params: &ProcessParams,
     table: &VfTable,
     mode: OperatingMode,
-    flips: &FlipSequence,
+    mean_flip: f64,
 ) -> MappingEvaluation {
     let mpg = params.macros_per_group;
     let groups = params.macro_groups;
     let power_model = PowerModel::new(*params);
-    let mean_flip = flips.mean();
 
     // Worst HR per group (input-determined or unknown ⇒ DVFS level).
     let mut group_level = vec![100u8; groups];
@@ -341,7 +349,7 @@ fn anneal(
     params: &ProcessParams,
     table: &VfTable,
     mode: OperatingMode,
-    flips: &FlipSequence,
+    mean_flip: f64,
     config: &AnnealingConfig,
 ) -> MappingOutcome {
     let total = params.total_macros();
@@ -349,7 +357,7 @@ fn anneal(
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
     let mut current = sequential_assignment(slices.len(), total);
-    let mut current_eval = evaluate_mapping(&current, slices, params, table, mode, flips);
+    let mut current_eval = evaluate_mapping(&current, slices, params, table, mode, mean_flip);
     let s0 = current_eval.score.max(1e-9);
     let mut best = current.clone();
     let mut best_eval = current_eval;
@@ -373,7 +381,7 @@ fn anneal(
         }
         let mut candidate = current.clone();
         candidate.swap(a, b);
-        let eval = evaluate_mapping(&candidate, slices, params, table, mode, flips);
+        let eval = evaluate_mapping(&candidate, slices, params, table, mode, mean_flip);
         evaluations += 1;
         let delta = eval.score - current_eval.score;
         // Normalised-exponential acceptor (Algorithm 3 line 6).
@@ -553,7 +561,7 @@ mod tests {
         let slices = mixed_slices();
         let p = params();
         let table = VfTable::derive_default(&p);
-        let flips = FlipSequence::normal(100, 0.5, 0.15, 1);
+        let mean_flip = mean_flip_fraction(1);
         let total = p.total_macros();
         let mut separated = vec![None; total];
         for i in 0..24 {
@@ -571,7 +579,7 @@ mod tests {
             &p,
             &table,
             OperatingMode::LowPower,
-            &flips,
+            mean_flip,
         );
         let mix = evaluate_mapping(
             &interleaved,
@@ -579,7 +587,7 @@ mod tests {
             &p,
             &table,
             OperatingMode::LowPower,
-            &flips,
+            mean_flip,
         );
         assert!(
             sep.avg_power_mw < mix.avg_power_mw,

@@ -25,7 +25,7 @@ use ir_model::process::ProcessParams;
 use ir_model::vf::OperatingMode;
 use nn_quant::qat::{train_layer, QatConfig};
 use nn_quant::wds::apply_wds_to_layer;
-use pim_sim::backend::{CycleAccurate, ExecutionBackend};
+use pim_sim::backend::CycleAccurate;
 use pim_sim::chip::{
     ChipConfig, ChipSimulator, ChipTemplate, RunReport, SimSession, StaticController, VfController,
 };
@@ -529,9 +529,9 @@ impl CompiledPlan {
         }
     }
 
-    /// The serving hot path: executes the plan's batches sequentially through
-    /// a caller-owned [`SimSession`], so a chip worker replaying many
-    /// requests reuses one set of scratch buffers.
+    /// The serving hot path: executes the plan's batches sequentially on the
+    /// cycle-accurate engine through a caller-owned [`SimSession`], so a chip
+    /// worker replaying many requests reuses one set of scratch buffers.
     ///
     /// With `seed_offset == 0` the simulated batches are exactly those of
     /// [`Self::execute`]; a nonzero offset derives a fresh deterministic
@@ -541,28 +541,13 @@ impl CompiledPlan {
         session: &mut SimSession,
         seed_offset: u64,
     ) -> PlanExecution {
-        self.execute_on(&CycleAccurate, session, seed_offset)
-    }
-
-    /// Executes the plan's batches sequentially through an explicit
-    /// [`ExecutionBackend`] — the seam every alternative evaluation strategy
-    /// plugs into.  `execute_on(&CycleAccurate, ..)` is exactly
-    /// [`Self::execute_with_session`]; an [`pim_sim::AnalyticalBackend`]
-    /// replaces the per-cycle loop with its calibrated closed-form model
-    /// (see [`crate::analytical::AnalyticalPlan`] for the calibrated,
-    /// replay-cached wrapper serving fleets use).
-    pub fn execute_on(
-        &self,
-        backend: &dyn ExecutionBackend,
-        session: &mut SimSession,
-        seed_offset: u64,
-    ) -> PlanExecution {
         let mut agg = RunAggregate::default();
         for batch_idx in 0..self.batches.len() {
             let sim = self.batch_simulator(batch_idx, seed_offset);
             let max_cycles = self.batches[batch_idx].max_cycles;
             let mut controller = self.controller_for(&sim);
-            let report = session.run_with_backend(backend, &sim, controller.as_mut(), max_cycles);
+            let report =
+                session.run_with_backend(&CycleAccurate, &sim, controller.as_mut(), max_cycles);
             agg.add(&report);
         }
         agg.summary()

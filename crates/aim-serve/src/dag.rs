@@ -257,24 +257,6 @@ impl<'rt> DagOrchestrator<'rt> {
         }
     }
 
-    /// The orchestrator's virtual clock: the underlying fleet's.
-    #[must_use]
-    pub fn clock(&self) -> u64 {
-        self.fleet.clock()
-    }
-
-    /// Items (points + DAGs) submitted so far.
-    #[must_use]
-    pub fn items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// The underlying fleet (read-only).
-    #[must_use]
-    pub fn fleet(&self) -> &FleetSession<'rt> {
-        &self.fleet
-    }
-
     /// Submits one [`SessionItem`] (point or DAG), returning its item id.
     ///
     /// # Panics

@@ -215,7 +215,7 @@ pub struct AvailabilityStats {
     pub requests_failed_over: usize,
     /// Serving capacity lost to faults, in chip-cycles: dead chips count
     /// fully from death to makespan, degraded chips count the derated
-    /// fraction of their degraded interval.
+    /// fraction of their degraded interval.  Saturates at `u64::MAX`.
     pub chip_cycles_lost: u64,
     /// `chip_cycles_lost` converted to seconds at the nominal frequency.
     pub chip_seconds_lost: f64,
@@ -367,12 +367,6 @@ impl<'rt> FleetSession<'rt> {
         self.clock
     }
 
-    /// Requests submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.submitted
-    }
-
     /// Number of session shards.
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -389,12 +383,6 @@ impl<'rt> FleetSession<'rt> {
     #[must_use]
     pub fn active_workers(&self) -> usize {
         self.shards.iter().map(ServeSession::active_workers).sum()
-    }
-
-    /// Chips across all shards that have not died.
-    #[must_use]
-    pub fn alive_workers(&self) -> usize {
-        self.shards.iter().map(ServeSession::alive_workers).sum()
     }
 
     /// Routes and accepts one request at the fleet's virtual "now".  Every
@@ -563,11 +551,11 @@ impl<'rt> FleetSession<'rt> {
 
         // Capacity accounting closes at the merged makespan.
         let makespan = serve.makespan_cycles;
-        let chip_cycles_lost: u64 = self
+        let chip_cycles_lost = self
             .shards
             .iter()
             .map(|session| session.chip_cycles_lost(makespan))
-            .sum();
+            .fold(0u64, u64::saturating_add);
         let nominal_ghz = self.runtime.plans()[0].chip_params().nominal_frequency_ghz;
         let per_class_slo_attainment = serve
             .per_class

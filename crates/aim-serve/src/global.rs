@@ -18,9 +18,12 @@
 //! trade the report's [`PlacementStats`] track.  [`place_models`] builds the
 //! canonical round-robin replication layout.  Requests route to a region
 //! holding their model via a deterministic [`RoutePolicy`]: `ByModel` pins
-//! a model's traffic to one holder, `LeastBacklog` steps the candidate
-//! fleets to the routing instant (a virtual-time snapshot) and picks the
-//! lowest weighted backlog.
+//! a model's traffic to one holder, `LeastBacklog` picks the candidate with
+//! the lowest weighted backlog.  Its virtual-time snapshot of each candidate
+//! is taken at the earlier of the routing instant and the candidate fleet's
+//! event horizon: [`FleetSession::run_until`] clamps there, so a region that
+//! has seen no fault, arrival or observation since is judged as of its
+//! horizon.
 //!
 //! ## The region health machine
 //!
@@ -192,9 +195,10 @@ pub enum RoutePolicy {
     /// `model % holders` over the routable holders — pins each model's
     /// traffic to one region, maximising batching leverage.
     ByModel,
-    /// Steps every routable holder to the routing instant and picks the one
-    /// with the lowest weighted backlog (ties: lowest region index) — a
-    /// deterministic virtual-time load snapshot.
+    /// Picks the routable holder with the lowest weighted backlog (ties:
+    /// lowest region index) — a deterministic virtual-time load snapshot,
+    /// taken for each holder at the earlier of the routing instant and its
+    /// fleet's event horizon ([`FleetSession::run_until`] clamps there).
     LeastBacklog,
 }
 
@@ -650,24 +654,6 @@ impl<'rt> GlobalRouter<'rt> {
         self.clock
     }
 
-    /// Requests submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.tracks.len()
-    }
-
-    /// Number of regions.
-    #[must_use]
-    pub fn regions(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The global configuration.
-    #[must_use]
-    pub fn config(&self) -> &GlobalConfig {
-        &self.config
-    }
-
     /// Accepts one request at the router's virtual "now" and routes it.
     /// Every region event, timed transition and retry due at or before the
     /// arrival applies first.
@@ -1057,8 +1043,9 @@ impl<'rt> GlobalRouter<'rt> {
                     if !self.regions[candidate].health().routable() {
                         continue;
                     }
-                    // Virtual-time snapshot: judge backlog at the routing
-                    // instant, not wherever the fleet last stopped.
+                    // Virtual-time snapshot at the earlier of the routing
+                    // instant and this fleet's event horizon (`run_until`
+                    // clamps there), not wherever the fleet last stopped.
                     self.regions[candidate].fleet.run_until(at);
                     let pressure = self.weighted_backlog(candidate);
                     if best.is_none_or(|(least, _)| pressure < least) {

@@ -88,8 +88,8 @@
 //! *measured* execution switches to the cycle-accurate engine, and each
 //! such execution is a free drift sample feeding the promotion streak.
 //! Verification drift is health-aware: both sides of every sample are
-//! derated by the slot's stamped [`ChipHealth`], so a degraded chip
-//! measures its prediction error, not its derate.
+//! derated by the chip's [`ChipHealth`] at the slot's estimated start, so a
+//! degraded chip measures its prediction error, not its derate.
 //!
 //! [`ServeConfig::calibration`]: crate::runtime::ServeConfig::calibration
 //!
@@ -208,16 +208,13 @@ struct Slot {
     est_start: u64,
     est_finish: u64,
     verify: bool,
-    /// Chip health in effect at the slot's estimated start — resolved by
-    /// [`ChipLane::recompute_est`], applied to both the estimated and the
-    /// measured service time (so scheduling and execution stay consistent).
-    health: ChipHealth,
 }
 
 /// One measured drift observation: the analytical prediction versus a
-/// cycle-accurate replay of the same group, both derated by the slot's
-/// stamped [`ChipHealth`] — service-level cycles on both sides, so a
-/// degraded chip measures calibration error, not its own derate.
+/// cycle-accurate replay of the same group, both derated by the chip's
+/// [`ChipHealth`] at the slot's estimated start — service-level cycles on
+/// both sides, so a degraded chip measures calibration error, not its own
+/// derate.
 #[derive(Debug, Clone, Copy)]
 struct DriftSample {
     /// Health-derated predicted execution cycles (online recalibration
@@ -233,7 +230,8 @@ struct DriftSample {
 /// Measured outcome of one executed group.
 #[derive(Debug, Clone, Copy)]
 struct ExecDone {
-    chip: usize,
+    /// Commit index of the group.
+    gid: usize,
     start: u64,
     finish: u64,
     exec: PlanExecution,
@@ -346,9 +344,16 @@ struct ChipLane {
     /// receives no new dispatch ([`ServeSession::set_worker_count`]).
     active: bool,
     /// Health changes in ascending time order; empty means always healthy.
+    /// A slot is estimated and executed under the health in effect at its
+    /// estimated start ([`health_at`]).
     health_changes: Vec<(u64, ChipHealth)>,
     /// Estimated service cycles of pending slots per SLO class, maintained
-    /// incrementally so backlog reads are O(1) per lane.
+    /// incrementally so backlog reads are O(1) per lane.  Kept as a ledger
+    /// rather than summed from `slots` on each read: elastic scaling, DAG
+    /// admission and least-backlog routing read it on every decision, and
+    /// deriving it cut hostbench `global-outage` host_rps from 2.63–2.67 M
+    /// to 1.40–2.11 M req/s (4 alternating pairs, seed 7, `--seconds 5`,
+    /// 2-vCPU VM).
     backlog: [u64; 3],
     sim: SimSession,
 }
@@ -393,7 +398,6 @@ impl ChipLane {
             let slot = &mut self.slots[i];
             slot.est_start = start;
             slot.est_finish = finish;
-            slot.health = health;
             self.backlog[class] += finish - start;
         }
     }
@@ -495,13 +499,6 @@ impl ReplayMemo {
     }
 }
 
-/// Result of executing one slot, harvested back into the session.
-#[derive(Debug, Clone, Copy)]
-struct SlotResult {
-    gid: usize,
-    done: ExecDone,
-}
-
 /// An incremental, event-driven serving session over a compiled
 /// [`ServeRuntime`] — see the [module docs](self) for the lifecycle.
 #[derive(Debug)]
@@ -544,7 +541,7 @@ pub struct ServeSession<'rt> {
     replays: Arc<ReplayMemo>,
     /// The slots one harvest executed, reused across harvests (empty
     /// between them).
-    retired: Vec<SlotResult>,
+    retired: Vec<ExecDone>,
     /// Cleared request buffers of absorbed groups and evicted batches,
     /// reused by the next batches to open.
     spare_requests: Vec<Vec<(usize, TraceRequest)>>,
@@ -650,12 +647,6 @@ impl<'rt> ServeSession<'rt> {
     #[must_use]
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Requests submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.submitted
     }
 
     /// Accepts one request at the session's virtual "now", tagged with its
@@ -1094,12 +1085,6 @@ impl<'rt> ServeSession<'rt> {
             && verify_sampled(config.seed, gid, config.verify_every);
 
         let lane = &mut self.lanes[chip];
-        // Stamp the chip's health as of the slot's estimated start — NOT a
-        // hard-coded `Healthy`: verification derates the predicted side by
-        // this stamp, so a sample taken on a degraded chip compares derated
-        // prediction against derated measurement instead of raising a false
-        // drift alarm equal to the derate.  (`recompute_est` keeps the
-        // stamp in step when the estimate moves.)
         lane.slots.insert(
             position,
             Slot {
@@ -1111,7 +1096,6 @@ impl<'rt> ServeSession<'rt> {
                 est_start: 0,
                 est_finish: 0,
                 verify,
-                health: health_at(&lane.health_changes, est_start),
             },
         );
         lane.recompute_est(position, &self.cost);
@@ -1292,9 +1276,9 @@ impl<'rt> ServeSession<'rt> {
     /// percent delivers `100/(100+p)` of its nominal work, so it loses the
     /// complementary share (rounding toward zero) of each degraded interval.
     /// That interval ends at the chip's next health change, its death, or
-    /// the makespan.
+    /// the makespan.  The sum saturates at `u64::MAX`.
     pub(crate) fn chip_cycles_lost(&self, makespan: u64) -> u64 {
-        let mut lost = 0;
+        let mut lost = 0u64;
         for lane in &self.lanes {
             let end = lane.died_at.unwrap_or(makespan);
             let changes = &lane.health_changes;
@@ -1302,10 +1286,11 @@ impl<'rt> ServeSession<'rt> {
             for (&(since, health), until) in changes.iter().zip(ends) {
                 if let ChipHealth::Degraded { slowdown_percent } = health {
                     let p = u64::from(slowdown_percent);
-                    lost += until.saturating_sub(since).saturating_mul(p) / (100 + p);
+                    let share = until.saturating_sub(since).saturating_mul(p) / (100 + p);
+                    lost = lost.saturating_add(share);
                 }
             }
-            lost += makespan.saturating_sub(end);
+            lost = lost.saturating_add(makespan.saturating_sub(end));
         }
         lost
     }
@@ -1407,83 +1392,75 @@ impl<'rt> ServeSession<'rt> {
         let cal = &self.cal;
         let loop_on = !cal.is_empty();
         let replays = &*self.replays;
-        let run = |lane: &mut ChipLane, results: &mut Vec<SlotResult>| {
+        let run = |lane: &mut ChipLane, results: &mut Vec<ExecDone>| {
             let model_cal = |model: usize| {
                 cal.get(model)
                     .map_or((1.0, false), |s| (s.adjust, s.row.demoted))
             };
+            let predicted_cycles = |model: usize| {
+                runtime
+                    .analytical_plans()
+                    .expect("analytical chips and the loop imply calibrated plans")[model]
+                    .adjusted_cycles(model_cal(model).0)
+            };
             while ready(lane) {
                 let slot = lane.slots[0];
+                // The health the slot's estimate was scheduled under derates
+                // its measured service time and both sides of its drift
+                // sample, identically under either backend.
+                let health = health_at(&lane.health_changes, slot.est_start);
                 let seed_offset = replay_seed_offset(seed, slot.gid);
                 let mut replay = || {
                     replays.recall_or((slot.model, seed_offset), || {
                         runtime.plans()[slot.model].execute_with_session(&mut lane.sim, seed_offset)
                     })
                 };
-                let (exec, drift) = match lane.backend {
+                // The measured execution, plus `(predicted, accurate,
+                // verify)` cycles when the group yields a drift sample.
+                let (exec, sample) = match lane.backend {
                     BackendKind::CycleAccurate => {
                         let exec = replay();
                         // Audit chips replay everything cycle-accurately
                         // anyway; when the loop is on, each replay doubles as
                         // a free drift sample against the (adjusted)
                         // analytical prediction.
-                        let drift = loop_on.then(|| {
-                            let predicted = runtime
-                                .analytical_plans()
-                                .expect("the loop requires calibrated plans")[slot.model]
-                                .adjusted_cycles(model_cal(slot.model).0);
-                            DriftSample {
-                                predicted: slot.health.scale_cycles(predicted),
-                                accurate: slot.health.scale_cycles(exec.cycles),
-                                verify: false,
-                            }
-                        });
-                        (exec, drift)
+                        let sample =
+                            loop_on.then(|| (predicted_cycles(slot.model), exec.cycles, false));
+                        (exec, sample)
                     }
                     BackendKind::Analytical => {
-                        let analytical = &runtime
+                        let base = runtime
                             .analytical_plans()
-                            .expect("analytical chips imply calibrated plans")[slot.model];
-                        let base = analytical.execution();
-                        let (adjust, demoted) = model_cal(slot.model);
-                        let predicted_cycles = if loop_on {
-                            analytical.adjusted_cycles(adjust)
+                            .expect("analytical chips imply calibrated plans")[slot.model]
+                            .execution();
+                        let predicted = if loop_on {
+                            predicted_cycles(slot.model)
                         } else {
                             base.cycles
                         };
-                        if demoted {
+                        if model_cal(slot.model).1 {
                             // The model lost its analytical trust: serve it
                             // cycle-accurately while the drift sample keeps
                             // feeding the promotion streak.
                             let accurate = replay();
-                            let drift = DriftSample {
-                                predicted: slot.health.scale_cycles(predicted_cycles),
-                                accurate: slot.health.scale_cycles(accurate.cycles),
-                                verify: slot.verify,
-                            };
-                            (accurate, Some(drift))
+                            (accurate, Some((predicted, accurate.cycles, slot.verify)))
                         } else {
                             let exec = PlanExecution {
-                                cycles: predicted_cycles,
+                                cycles: predicted,
                                 ..base
                             };
-                            let drift = slot.verify.then(|| {
-                                let accurate = replay();
-                                DriftSample {
-                                    predicted: slot.health.scale_cycles(predicted_cycles),
-                                    accurate: slot.health.scale_cycles(accurate.cycles),
-                                    verify: true,
-                                }
-                            });
-                            (exec, drift)
+                            let sample = slot.verify.then(|| (predicted, replay().cycles, true));
+                            (exec, sample)
                         }
                     }
                 };
+                let drift = sample.map(|(predicted, accurate, verify)| DriftSample {
+                    predicted: health.scale_cycles(predicted),
+                    accurate: health.scale_cycles(accurate),
+                    verify,
+                });
                 let switching = lane.actual_last_model != Some(slot.model);
-                // The same health derate the estimate was scheduled under
-                // stretches the measured service time — identically for
-                // cycle-accurate measurements and analytical predictions.
-                let duration = slot.health.scale_cycles(group_service_cycles(
+                let duration = health.scale_cycles(group_service_cycles(
                     slot.batch,
                     exec.cycles,
                     reload[slot.model],
@@ -1491,15 +1468,12 @@ impl<'rt> ServeSession<'rt> {
                 ));
                 let start = lane.actual_free.max(slot.ready);
                 let finish = start.saturating_add(duration);
-                results.push(SlotResult {
+                results.push(ExecDone {
                     gid: slot.gid,
-                    done: ExecDone {
-                        chip: lane.chip,
-                        start,
-                        finish,
-                        exec,
-                        drift,
-                    },
+                    start,
+                    finish,
+                    exec,
+                    drift,
                 });
                 lane.actual_free = finish;
                 lane.actual_last_model = Some(slot.model);
@@ -1510,7 +1484,7 @@ impl<'rt> ServeSession<'rt> {
         if ready_lanes > 1 && runtime.config().parallel {
             let lanes: Vec<&mut ChipLane> =
                 self.lanes.iter_mut().filter(|lane| ready(lane)).collect();
-            let fanned: Vec<Vec<SlotResult>> = lanes
+            let fanned: Vec<Vec<ExecDone>> = lanes
                 .into_par_iter()
                 .map(|lane| {
                     let mut results = Vec::new();
@@ -1528,29 +1502,30 @@ impl<'rt> ServeSession<'rt> {
         }
         // Completions stream in commit order within each harvest, so the
         // output order never depends on chip interleaving.
-        self.retired.sort_unstable_by_key(|r| r.gid);
+        self.retired.sort_unstable_by_key(|done| done.gid);
         let mut retired = std::mem::take(&mut self.retired);
-        for result in retired.drain(..) {
-            let record = &mut self.groups[result.gid - self.groups_base];
-            record.done = Some(result.done);
+        for done in retired.drain(..) {
+            let record = &mut self.groups[done.gid - self.groups_base];
+            record.done = Some(done);
+            let chip = record.chip.expect("an executed group was dispatched");
             let batch_size = record.requests.len();
             let failed_over = record.failed_over;
             let model = record.model;
             for pair_index in 0..batch_size {
-                let record = &self.groups[result.gid - self.groups_base];
+                let record = &self.groups[done.gid - self.groups_base];
                 let (ri, request) = record.requests[pair_index];
                 self.push_completion(RequestOutcome {
                     request: ri,
                     model,
                     slo: request.slo,
                     status: CompletionStatus::Served {
-                        chip: result.done.chip,
-                        group: result.gid,
+                        chip,
+                        group: done.gid,
                         batch_size,
-                        start_cycles: result.done.start,
-                        finish_cycles: result.done.finish,
-                        latency_cycles: result.done.finish - request.arrival_cycles,
-                        deadline_missed: result.done.finish > request.deadline_cycles,
+                        start_cycles: done.start,
+                        finish_cycles: done.finish,
+                        latency_cycles: done.finish - request.arrival_cycles,
+                        deadline_missed: done.finish > request.deadline_cycles,
                         failed_over,
                     },
                 });

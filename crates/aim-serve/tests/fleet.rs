@@ -489,6 +489,38 @@ fn chip_death_requeues_only_not_yet_started_groups() {
     assert!(report.serve.per_chip[0].requests > 5);
 }
 
+/// Chips dying at the start of a run whose weight-reload cost reaches the
+/// end of virtual time each lose almost `u64::MAX` chip-cycles.  The
+/// per-chip sum of lost capacity used to overflow: an arithmetic panic in
+/// debug and, in release, a wrapped 18 446 744 073 709 551 611 against a
+/// `u64::MAX` makespan.  The session's and the fleet's sums now saturate.
+#[test]
+fn chip_cycles_lost_saturates_past_the_end_of_virtual_time() {
+    let serve = ServeConfig::builder()
+        .chips(3)
+        .backend(matrix_backend())
+        .reload_cycles_per_slice(u64::MAX / 2)
+        .build();
+    let runtime = ServeRuntime::from_plans(plans().clone(), serve);
+    let death = |at_cycles, chip| FaultEvent {
+        at_cycles,
+        kind: FaultKind::ChipDeath { shard: 0, chip },
+    };
+    let trace = trace_for(4, 7);
+    let report = FleetSession::serve_trace(
+        &runtime,
+        FleetConfig {
+            shards: 1,
+            ..FleetConfig::default()
+        },
+        FaultPlan::new(vec![death(1, 0), death(2, 1)]),
+        &trace,
+    );
+    assert_eq!(report.serve.served_requests, trace.len());
+    assert_eq!(report.serve.makespan_cycles, u64::MAX);
+    assert_eq!(report.availability.chip_cycles_lost, u64::MAX);
+}
+
 #[test]
 fn degradation_stretches_service_time_and_recovery_restores_it() {
     let serve = ServeConfig {

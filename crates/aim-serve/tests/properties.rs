@@ -404,14 +404,12 @@ proptest! {
             backend: matrix_backend(),
             audit_chips: usize::from(chips > 1),
             verify_every: 2,
-            calibration: Some(
-                CalibrationLoopConfig::builder()
-                    .ewma_decay(0.5)
-                    .demote_streak(1)
-                    .promote_streak(2)
-                    .recalibrate_interval_cycles(if interval_bit == 0 { 5_000 } else { 20_000 })
-                    .build(),
-            ),
+            calibration: Some(CalibrationLoopConfig {
+                ewma_decay: 0.5,
+                demote_streak: 1,
+                promote_streak: 2,
+                recalibrate_interval_cycles: if interval_bit == 0 { 5_000 } else { 20_000 },
+            }),
             parallel: true,
             seed,
             ..ServeConfig::default()

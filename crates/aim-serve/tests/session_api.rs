@@ -561,14 +561,12 @@ fn a_miscalibrated_model_is_demoted_and_heals_back() {
         .max_batch(1)
         .backend(BackendKind::Analytical)
         .verify_every(1)
-        .calibration(Some(
-            CalibrationLoopConfig::builder()
-                .ewma_decay(0.5)
-                .demote_streak(1)
-                .promote_streak(2)
-                .recalibrate_interval_cycles(20_000)
-                .build(),
-        ))
+        .calibration(Some(CalibrationLoopConfig {
+            ewma_decay: 0.5,
+            demote_streak: 1,
+            promote_streak: 2,
+            recalibrate_interval_cycles: 20_000,
+        }))
         .build();
     let mut runtime = ServeRuntime::from_plans(plans().clone(), config);
     // Model 0 now predicts 1.6× its true cycle count while still claiming
@@ -621,12 +619,11 @@ fn the_calibration_loop_never_touches_scheduling_estimates() {
     let trace: Vec<TraceRequest> = (0..32u64)
         .map(|i| req((i % 2) as usize, i * 1_500, SloClass::Standard))
         .collect();
-    let with_loop = build(Some(
-        CalibrationLoopConfig::builder()
-            .demote_streak(1)
-            .recalibrate_interval_cycles(20_000)
-            .build(),
-    ))
+    let with_loop = build(Some(CalibrationLoopConfig {
+        demote_streak: 1,
+        recalibrate_interval_cycles: 20_000,
+        ..CalibrationLoopConfig::default()
+    }))
     .serve(&trace);
     let without_loop = build(None).serve(&trace);
     assert!(with_loop.calibration.expect("loop on").demotions >= 1);

@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use aim_core::booster::{BoosterConfig, IrBoosterController};
 use ir_model::process::ProcessParams;
-use pim_sim::backend::{AnalyticalBackend, ExecutionBackend};
-use pim_sim::chip::{ChipConfig, ChipSimulator, MacroTask, StaticController};
+use pim_sim::backend::{AnalyticalBackend, CycleAccurate, ExecutionBackend};
+use pim_sim::chip::{ChipConfig, ChipSimulator, MacroTask, SimSession, StaticController};
 
 fn tasks(hr: f64, cycles: u64) -> Vec<Option<MacroTask>> {
     let params = ProcessParams::dpim_7nm();
@@ -56,11 +56,11 @@ fn bench_static_controller_reused_scratch(c: &mut Criterion) {
         },
         tasks(0.35, 2_000),
     );
-    let mut scratch = sim.scratch();
+    let mut session = SimSession::new();
     c.bench_function("chip_sim_2k_cycles_static_reused_scratch", |b| {
         b.iter(|| {
             let mut ctrl = StaticController::nominal(&ProcessParams::dpim_7nm());
-            sim.run_with_scratch(&mut ctrl, 10_000, &mut scratch)
+            session.run_with_backend(&CycleAccurate, &sim, &mut ctrl, 10_000)
         })
     });
 }

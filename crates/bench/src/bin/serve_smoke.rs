@@ -660,13 +660,12 @@ fn run_fleet(backend: BackendKind) -> Leg {
     let drill = (backend == BackendKind::Analytical).then(|| {
         let drill_config = ServeConfig {
             verify_every: 4,
-            calibration: Some(
-                CalibrationLoopConfig::builder()
-                    .ewma_decay(0.5)
-                    .demote_streak(1)
-                    .promote_streak(2)
-                    .build(),
-            ),
+            calibration: Some(CalibrationLoopConfig {
+                ewma_decay: 0.5,
+                demote_streak: 1,
+                promote_streak: 2,
+                ..CalibrationLoopConfig::default()
+            }),
             ..config
         };
         let mut drill_runtime = ServeRuntime::from_plans(plans, drill_config);

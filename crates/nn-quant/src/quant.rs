@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::hamming::{hamming_rate, HrTable};
+use crate::hamming::hamming_rate;
 use crate::tensor::Tensor;
 
 /// A symmetric quantization scheme: bit width and positive scale.
@@ -96,12 +96,6 @@ impl QuantScheme {
     #[must_use]
     pub fn fake_quantize(&self, w: f32) -> f32 {
         self.dequantize(self.quantize(w))
-    }
-
-    /// The HR lookup table matching this scheme's bit width.
-    #[must_use]
-    pub fn hr_table(&self) -> HrTable {
-        HrTable::new(self.bits)
     }
 }
 

@@ -14,9 +14,9 @@
 //!   per-macro droop evaluation) against a closed-form failure-probability
 //!   model, and assembles the run report from expected-value arithmetic.
 //!   Its coefficients are fitted per `(ChipConfig, controller)` from a
-//!   handful of cycle-accurate probe runs ([`Calibration::fit`]), and the
-//!   backend reports the error bound observed during that fit
-//!   ([`ExecutionBackend::error_bound`]).
+//!   handful of cycle-accurate probe runs ([`Calibration::fit`]), which
+//!   also records the error bound observed during that fit
+//!   ([`Calibration::error_bound`]).
 //!
 //! The closed-form pieces exploit structure the models already have: both
 //! the droop (Eq. 2) and the dynamic power are *affine* in the toggle rate,
@@ -128,7 +128,8 @@ pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
         scratch: &mut SimScratch,
     ) -> RunReport;
 
-    /// Allocating convenience wrapper around [`Self::run_with_scratch`].
+    /// One run on fresh scratch; [`crate::chip::SimSession::run_with_backend`]
+    /// reuses one scratch across runs.
     ///
     /// # Panics
     ///
@@ -139,19 +140,9 @@ pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
         controller: &mut dyn VfController,
         max_cycles: u64,
     ) -> RunReport {
-        let mut scratch = sim.scratch();
+        let params = &sim.config.params;
+        let mut scratch = SimScratch::new(params.total_macros(), params.macro_groups);
         self.run_with_scratch(sim, controller, max_cycles, &mut scratch)
-    }
-
-    /// Which kind of backend this is (for reports and dispatch tables).
-    fn kind(&self) -> BackendKind;
-
-    /// Relative cycle-count error bound this backend promises against the
-    /// cycle-accurate reference, if it is an approximation (`None` for exact
-    /// backends).  An [`AnalyticalBackend`] reports the bound observed while
-    /// fitting its calibration.
-    fn error_bound(&self) -> Option<f64> {
-        None
     }
 }
 
@@ -415,10 +406,6 @@ impl ExecutionBackend for CycleAccurate {
         };
         report
     }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::CycleAccurate
-    }
 }
 
 /// Fitted correction coefficients of an [`AnalyticalBackend`], one set per
@@ -564,8 +551,8 @@ impl Calibration {
 /// ([`Calibration::recalibrated`]) and demotes/promotes the model between
 /// the analytical fast path and cycle-accurate execution.
 ///
-/// Construct via [`Self::builder`] or a struct literal over
-/// [`Self::default`]; [`Self::validate`] rejects degenerate values.
+/// Construct with a struct literal over [`Self::default`];
+/// [`Self::validate`] rejects degenerate values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CalibrationLoopConfig {
     /// Weight of each new drift sample in the EWMA (`0 < decay <= 1`):
@@ -594,14 +581,6 @@ impl Default for CalibrationLoopConfig {
 }
 
 impl CalibrationLoopConfig {
-    /// Starts a builder from the default configuration.
-    #[must_use]
-    pub fn builder() -> CalibrationLoopConfigBuilder {
-        CalibrationLoopConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// Checks the configuration invariants.
     ///
     /// # Panics
@@ -627,58 +606,6 @@ impl CalibrationLoopConfig {
             self.recalibrate_interval_cycles >= 1,
             "the recalibration interval must be at least one cycle"
         );
-    }
-}
-
-/// Chainable builder for [`CalibrationLoopConfig`]; [`Self::build`]
-/// validates.
-#[derive(Debug, Clone, Copy)]
-pub struct CalibrationLoopConfigBuilder {
-    config: CalibrationLoopConfig,
-}
-
-impl CalibrationLoopConfigBuilder {
-    /// Sets the EWMA decay (see [`CalibrationLoopConfig::ewma_decay`]).
-    #[must_use]
-    pub fn ewma_decay(mut self, ewma_decay: f64) -> Self {
-        self.config.ewma_decay = ewma_decay;
-        self
-    }
-
-    /// Sets the demotion streak (see
-    /// [`CalibrationLoopConfig::demote_streak`]).
-    #[must_use]
-    pub fn demote_streak(mut self, demote_streak: u32) -> Self {
-        self.config.demote_streak = demote_streak;
-        self
-    }
-
-    /// Sets the promotion streak (see
-    /// [`CalibrationLoopConfig::promote_streak`]).
-    #[must_use]
-    pub fn promote_streak(mut self, promote_streak: u32) -> Self {
-        self.config.promote_streak = promote_streak;
-        self
-    }
-
-    /// Sets the recalibration interval (see
-    /// [`CalibrationLoopConfig::recalibrate_interval_cycles`]).
-    #[must_use]
-    pub fn recalibrate_interval_cycles(mut self, recalibrate_interval_cycles: u64) -> Self {
-        self.config.recalibrate_interval_cycles = recalibrate_interval_cycles;
-        self
-    }
-
-    /// Finishes the builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configurations — see
-    /// [`CalibrationLoopConfig::validate`].
-    #[must_use]
-    pub fn build(self) -> CalibrationLoopConfig {
-        self.config.validate();
-        self.config
     }
 }
 
@@ -777,14 +704,6 @@ impl ExecutionBackend for AnalyticalBackend {
         _scratch: &mut SimScratch,
     ) -> RunReport {
         predict(sim, controller, max_cycles, &self.calibration)
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Analytical
-    }
-
-    fn error_bound(&self) -> Option<f64> {
-        Some(self.calibration.error_bound)
     }
 }
 
@@ -1327,17 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_accurate_backend_is_the_simulator_run() {
-        let sim = ChipSimulator::new(config(), uniform_tasks(0.6, 300));
-        let params = ProcessParams::dpim_7nm();
-        let mut a = StaticController::nominal(&params);
-        let mut b = StaticController::nominal(&params);
-        let via_backend = CycleAccurate.run(&sim, &mut a, 5_000);
-        let via_sim = sim.run(&mut b, 5_000);
-        assert_eq!(via_backend, via_sim, "trait path must stay byte-identical");
-    }
-
-    #[test]
     fn session_with_backend_matches_plain_session() {
         let sim = ChipSimulator::new(config(), uniform_tasks(0.4, 200));
         let params = ProcessParams::dpim_7nm();
@@ -1403,7 +1311,7 @@ mod tests {
             50_000,
             0.02,
         );
-        let bound = backend.error_bound().expect("analytical reports a bound");
+        let bound = backend.calibration().error_bound;
         assert!(bound >= Calibration::MIN_ERROR_BOUND);
         // A run the calibration never saw (different HR, different length).
         let sim = ChipSimulator::new(cfg, uniform_tasks(0.9, 450));
@@ -1434,14 +1342,8 @@ mod tests {
 
     #[test]
     fn backend_kinds_and_names() {
-        assert_eq!(CycleAccurate.kind(), BackendKind::CycleAccurate);
-        assert_eq!(
-            AnalyticalBackend::uncalibrated().kind(),
-            BackendKind::Analytical
-        );
         assert_eq!(BackendKind::CycleAccurate.name(), "cycle-accurate");
         assert_eq!(BackendKind::Analytical.name(), "analytical");
-        assert_eq!(CycleAccurate.error_bound(), None);
     }
 
     #[test]
@@ -1524,51 +1426,64 @@ mod tests {
     }
 
     #[test]
-    fn calibration_loop_builder_round_trips_and_validates() {
-        let config = CalibrationLoopConfig::builder()
-            .ewma_decay(0.5)
-            .demote_streak(1)
-            .promote_streak(2)
-            .recalibrate_interval_cycles(10_000)
-            .build();
-        assert_eq!(config.ewma_decay, 0.5);
-        assert_eq!(config.demote_streak, 1);
-        assert_eq!(config.promote_streak, 2);
-        assert_eq!(config.recalibrate_interval_cycles, 10_000);
+    fn calibration_loop_default_and_edge_configs_validate() {
         CalibrationLoopConfig::default().validate();
+        CalibrationLoopConfig {
+            ewma_decay: 1.0,
+            demote_streak: 1,
+            promote_streak: 1,
+            recalibrate_interval_cycles: 1,
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "the EWMA decay must lie in (0, 1]")]
     fn calibration_loop_rejects_a_zero_decay() {
-        let _ = CalibrationLoopConfig::builder().ewma_decay(0.0).build();
+        CalibrationLoopConfig {
+            ewma_decay: 0.0,
+            ..CalibrationLoopConfig::default()
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "the EWMA decay must lie in (0, 1]")]
     fn calibration_loop_rejects_a_nan_decay() {
-        let _ = CalibrationLoopConfig::builder()
-            .ewma_decay(f64::NAN)
-            .build();
+        CalibrationLoopConfig {
+            ewma_decay: f64::NAN,
+            ..CalibrationLoopConfig::default()
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "the demotion streak must be at least 1")]
     fn calibration_loop_rejects_a_zero_demotion_streak() {
-        let _ = CalibrationLoopConfig::builder().demote_streak(0).build();
+        CalibrationLoopConfig {
+            demote_streak: 0,
+            ..CalibrationLoopConfig::default()
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "the promotion streak must be at least 1")]
     fn calibration_loop_rejects_a_zero_promotion_streak() {
-        let _ = CalibrationLoopConfig::builder().promote_streak(0).build();
+        CalibrationLoopConfig {
+            promote_streak: 0,
+            ..CalibrationLoopConfig::default()
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "the recalibration interval must be at least one cycle")]
     fn calibration_loop_rejects_a_zero_interval() {
-        let _ = CalibrationLoopConfig::builder()
-            .recalibrate_interval_cycles(0)
-            .build();
+        CalibrationLoopConfig {
+            recalibrate_interval_cycles: 0,
+            ..CalibrationLoopConfig::default()
+        }
+        .validate();
     }
 }

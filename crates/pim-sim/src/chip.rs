@@ -535,9 +535,8 @@ impl VminMemo {
 /// The seed implementation allocated `rtog`, `busy` and the observation
 /// vector afresh every simulated cycle; hoisting them here (plus the per-run
 /// progress/penalty vectors and the `vmin` memo) makes the cycle loop
-/// allocation-free.  One scratch can be reused across any number of runs
-/// of simulators with the same chip geometry via
-/// [`ChipSimulator::run_with_scratch`].
+/// allocation-free.  A [`SimSession`] owns one and reuses it across any
+/// number of runs, rebuilding it when the chip geometry changes.
 #[derive(Debug, Clone)]
 pub struct SimScratch {
     pub(crate) rtog: Vec<f64>,
@@ -563,7 +562,7 @@ pub struct SimScratch {
 impl SimScratch {
     /// Creates scratch state for a chip with the given geometry.
     #[must_use]
-    pub fn new(total_macros: usize, groups: usize) -> Self {
+    pub(crate) fn new(total_macros: usize, groups: usize) -> Self {
         Self {
             rtog: vec![0.0; total_macros],
             busy: vec![false; total_macros],
@@ -628,26 +627,11 @@ impl SimSession {
         Self::default()
     }
 
-    /// Runs `sim` to completion (or `max_cycles`), reusing this session's
-    /// scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller returns the wrong number of decisions.
-    pub fn run(
-        &mut self,
-        sim: &ChipSimulator,
-        controller: &mut dyn VfController,
-        max_cycles: u64,
-    ) -> RunReport {
-        self.run_with_backend(&CycleAccurate, sim, controller, max_cycles)
-    }
-
-    /// Runs `sim` through an explicit [`ExecutionBackend`], reusing this
-    /// session's scratch buffers.  `run_with_backend(&CycleAccurate, ..)` is
-    /// exactly [`Self::run`]; an analytical backend ignores the scratch but
-    /// still counts towards the session's run statistics (its predicted
-    /// cycles are accumulated as simulated cycles).
+    /// Runs `sim` to completion (or `max_cycles`) through `backend`, reusing
+    /// this session's scratch buffers.  `run_with_backend(&CycleAccurate, ..)`
+    /// gives the bytes of [`ChipSimulator::run`]; an analytical backend
+    /// ignores the scratch but still counts towards the session's run
+    /// statistics (its predicted cycles are accumulated as simulated cycles).
     ///
     /// # Panics
     ///
@@ -743,46 +727,16 @@ impl ChipSimulator {
             .collect()
     }
 
-    /// Creates scratch state sized for this simulator's geometry, reusable
-    /// across any number of runs via [`Self::run_with_scratch`].
-    #[must_use]
-    pub fn scratch(&self) -> SimScratch {
-        SimScratch::new(
-            self.config.params.total_macros(),
-            self.config.params.macro_groups,
-        )
-    }
-
     /// Runs the simulation until every task completes (or `max_cycles` is
-    /// reached), driving the given controller.
+    /// reached), driving the given controller, on the per-cycle engine
+    /// ([`CycleAccurate`]) with fresh scratch.  Repeated runs reuse one
+    /// scratch through [`SimSession::run_with_backend`].
     ///
     /// # Panics
     ///
     /// Panics if the controller returns the wrong number of decisions.
     pub fn run(&self, controller: &mut dyn VfController, max_cycles: u64) -> RunReport {
-        let mut scratch = self.scratch();
-        self.run_with_scratch(controller, max_cycles, &mut scratch)
-    }
-
-    /// [`Self::run`] with caller-provided scratch state: the cycle loop
-    /// performs no heap allocation, so repeated runs (sweeps, annealing,
-    /// benches) reuse one set of buffers.
-    ///
-    /// The per-cycle engine itself lives in the [`CycleAccurate`] backend
-    /// (`crate::backend`); this method is the stable convenience entry point
-    /// and is bit-identical to the pre-backend implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller returns the wrong number of decisions or the
-    /// scratch was built for a different chip geometry.
-    pub fn run_with_scratch(
-        &self,
-        controller: &mut dyn VfController,
-        max_cycles: u64,
-        scratch: &mut SimScratch,
-    ) -> RunReport {
-        CycleAccurate.run_with_scratch(self, controller, max_cycles, scratch)
+        CycleAccurate.run(self, controller, max_cycles)
     }
 }
 
@@ -917,7 +871,7 @@ mod tests {
         // against fresh per-run scratch.
         for sim in [&sim_a, &sim_b, &sim_a] {
             let mut ctrl = StaticController::nominal(&params);
-            let via_session = session.run(sim, &mut ctrl, 5_000);
+            let via_session = session.run_with_backend(&CycleAccurate, sim, &mut ctrl, 5_000);
             let mut ctrl = StaticController::nominal(&params);
             let fresh = sim.run(&mut ctrl, 5_000);
             assert_eq!(via_session, fresh);
@@ -958,7 +912,12 @@ mod tests {
         );
         let mut session = SimSession::new();
         for (sim, fresh) in [(&sim_a, &fresh_a), (&sim_b, &fresh_b), (&sim_a, &fresh_a)] {
-            let via_session = session.run(sim, &mut StaticController::fixed(point), 20_000);
+            let via_session = session.run_with_backend(
+                &CycleAccurate,
+                sim,
+                &mut StaticController::fixed(point),
+                20_000,
+            );
             assert_eq!(&via_session, fresh);
         }
     }
@@ -981,9 +940,9 @@ mod tests {
         let sim_big = ChipSimulator::new(config(), uniform_tasks(0.5, 50));
         let mut session = SimSession::new();
         let mut ctrl = StaticController::nominal(&ProcessParams::dpim_7nm());
-        let big = session.run(&sim_big, &mut ctrl, 1_000);
+        let big = session.run_with_backend(&CycleAccurate, &sim_big, &mut ctrl, 1_000);
         let mut ctrl_small = StaticController::nominal(&small);
-        let little = session.run(&sim_small, &mut ctrl_small, 1_000);
+        let little = session.run_with_backend(&CycleAccurate, &sim_small, &mut ctrl_small, 1_000);
         assert_eq!(big.total_cycles, 50);
         assert_eq!(little.total_cycles, 50);
         assert_eq!(session.runs(), 2);

@@ -7,10 +7,12 @@
 //! * the **bit-exact** view ([`InputStream`]): the actual bits of each input
 //!   value, cycle by cycle, used by the bank-level simulator to compute MAC
 //!   results and exact toggle counts;
-//! * the **statistical** view ([`FlipSequence`]): the fraction of input bits
-//!   that toggled in each cycle, used by the chip-level simulator and by the
-//!   lightweight simulator inside the HR-aware task mapper (the paper samples
-//!   a 100-step flip sequence from a normal distribution).
+//! * the **statistical** view ([`FlipBank`]): the fraction of input bits that
+//!   toggled in each cycle, sampled per macro from a clamped normal
+//!   distribution, used by the chip-level simulator and, as the mean of a
+//!   100-step single-macro bank, by the lightweight evaluator inside the
+//!   HR-aware task mapper (the paper samples a 100-step flip sequence from a
+//!   normal distribution).
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -113,104 +115,15 @@ impl InputStream {
     }
 }
 
-/// A statistical per-cycle input flip-fraction sequence.
-///
-/// The chip-level simulator and the task-mapping evaluator do not need the
-/// actual input bits — only how many word lines toggled each cycle.  The
-/// paper's lightweight simulator samples this from a normal distribution;
-/// [`FlipSequence::normal`] reproduces that, and
-/// [`FlipSequence::from_stream`] extracts the exact sequence from a bit-exact
-/// stream when one is available.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlipSequence {
-    fractions: Vec<f64>,
-}
-
-impl FlipSequence {
-    /// Samples `len` flip fractions from a clamped normal distribution.
-    ///
-    /// The defaults used throughout the reproduction are `mean = 0.5`,
-    /// `std = 0.15`, matching the profiled behaviour of image/token inputs.
-    #[must_use]
-    pub fn normal(len: usize, mean: f64, std: f64, seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let fractions = (0..len)
-            .map(|_| {
-                // Box–Muller.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                (mean + std * z).clamp(0.0, 1.0)
-            })
-            .collect();
-        Self { fractions }
-    }
-
-    /// Extracts the exact flip sequence of a bit-exact stream.
-    #[must_use]
-    pub fn from_stream(stream: &InputStream) -> Self {
-        let fractions = (0..stream.bits().saturating_sub(1))
-            .map(|c| stream.flip_fraction(c))
-            .collect();
-        Self { fractions }
-    }
-
-    /// Creates a sequence from explicit fractions (each clamped to `[0, 1]`).
-    #[must_use]
-    pub fn from_fractions(fractions: &[f64]) -> Self {
-        Self {
-            fractions: fractions.iter().map(|f| f.clamp(0.0, 1.0)).collect(),
-        }
-    }
-
-    /// Number of cycles in the sequence.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.fractions.len()
-    }
-
-    /// Whether the sequence is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.fractions.is_empty()
-    }
-
-    /// Flip fraction at `cycle`, wrapping around for longer simulations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty.
-    #[must_use]
-    pub fn at(&self, cycle: u64) -> f64 {
-        assert!(!self.is_empty(), "flip sequence is empty");
-        self.fractions[(cycle % self.fractions.len() as u64) as usize]
-    }
-
-    /// Mean flip fraction.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.fractions.iter().sum::<f64>() / self.fractions.len() as f64
-    }
-
-    /// Maximum flip fraction.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.fractions.iter().copied().fold(0.0, f64::max)
-    }
-}
-
 /// A struct-of-arrays flip bank: every macro's statistical flip sequence for
 /// one chip, stored cycle-major so the per-cycle hot loop reads one
 /// contiguous stride-1 row instead of chasing `macros` separate `Vec<f64>`s.
 ///
-/// `at(m, cycle)` is bit-for-bit identical to
-/// `FlipSequence::normal(len, mean, std, seed + m * 7919).at(cycle)`: the
-/// bank is generated macro by macro in the exact per-macro RNG draw order of
-/// the legacy path (Box–Muller over `ChaCha8Rng`, unchanged), only the
-/// storage is transposed.
+/// Macro `m`'s row is `len` Box–Muller draws over a `ChaCha8Rng` seeded
+/// with `seed + m * 7919`, clamped to `[0, 1]`: the bank is generated macro
+/// by macro in the draw order of the per-macro sequences it replaced, only
+/// the storage is transposed (`tests/template_equivalence.rs` keeps that
+/// per-macro loop as its reference).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlipBank {
     macros: usize,
@@ -229,7 +142,7 @@ impl FlipBank {
         for m in 0..macros {
             let mut rng = ChaCha8Rng::seed_from_u64(base_seed.wrapping_add(m as u64 * 7919));
             for cycle in 0..len {
-                // Box–Muller, draw-for-draw the legacy `FlipSequence::normal`.
+                // Box–Muller.
                 let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
                 let u2: f64 = rng.gen_range(0.0..1.0);
                 let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -261,8 +174,8 @@ impl FlipBank {
         self.len == 0 || self.macros == 0
     }
 
-    /// The contiguous per-macro row for `cycle` (wrapping like
-    /// [`FlipSequence::at`]): `row(cycle)[m]` is macro `m`'s flip fraction.
+    /// The contiguous per-macro row for `cycle`, wrapping at [`Self::len`]:
+    /// `row(cycle)[m]` is macro `m`'s flip fraction.
     ///
     /// # Panics
     ///
@@ -328,59 +241,11 @@ mod tests {
 
     #[test]
     fn normal_flip_sequence_stays_in_unit_interval() {
-        let f = FlipSequence::normal(1000, 0.5, 0.15, 9);
-        assert_eq!(f.len(), 1000);
-        assert!(f.max() <= 1.0);
-        assert!((f.mean() - 0.5).abs() < 0.03);
-    }
-
-    #[test]
-    fn flip_sequence_wraps_around() {
-        let f = FlipSequence::from_fractions(&[0.1, 0.9]);
-        assert_eq!(f.at(0), 0.1);
-        assert_eq!(f.at(1), 0.9);
-        assert_eq!(f.at(2), 0.1);
-        assert_eq!(f.at(101), 0.9);
-    }
-
-    #[test]
-    fn from_stream_matches_manual_fractions() {
-        let s = InputStream::random(128, 8, 5);
-        let f = FlipSequence::from_stream(&s);
-        assert_eq!(f.len(), 7);
-        for c in 0..7u32 {
-            assert!((f.at(u64::from(c)) - s.flip_fraction(c)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn out_of_range_fractions_are_clamped() {
-        let f = FlipSequence::from_fractions(&[-0.2, 1.7]);
-        assert_eq!(f.at(0), 0.0);
-        assert_eq!(f.at(1), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "flip sequence is empty")]
-    fn empty_sequence_at_panics() {
-        let f = FlipSequence::from_fractions(&[]);
-        let _ = f.at(0);
-    }
-
-    #[test]
-    fn flip_bank_matches_legacy_sequences_bit_for_bit() {
-        let (macros, len, mean, std, seed) = (64, 37, 0.5, 0.15, 0xA1A1u64);
-        let bank = FlipBank::normal(macros, len, mean, std, seed);
-        for m in 0..macros {
-            let legacy = FlipSequence::normal(len, mean, std, seed.wrapping_add(m as u64 * 7919));
-            for cycle in 0..(len as u64 * 2 + 5) {
-                assert_eq!(
-                    bank.at(m, cycle).to_bits(),
-                    legacy.at(cycle).to_bits(),
-                    "macro {m} cycle {cycle} diverged from the legacy draw"
-                );
-            }
-        }
+        let bank = FlipBank::normal(1, 1000, 0.5, 0.15, 9);
+        let fractions: Vec<f64> = (0..1000).map(|c| bank.at(0, c)).collect();
+        assert!(fractions.iter().all(|f| (0.0..=1.0).contains(f)));
+        let mean = fractions.iter().sum::<f64>() / 1000.0;
+        assert!((mean - 0.5).abs() < 0.03);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The perf refactor split `ChipSimulator::new` into a seed-independent
 //! [`ChipTemplate`] plus a cheap `with_seed` instantiation backed by a
-//! bounded flip-bank cache, and replaced the per-macro `Vec<FlipSequence>`
-//! with one flat SoA [`FlipBank`].  These tests pin the contract that made
-//! that refactor admissible: for random `(ChipConfig, mapping)` pairs, every
-//! construction path yields the same `RunReport` *bytes* under both
-//! execution backends, and the SoA bank reproduces the legacy per-macro
-//! sequences bit-for-bit.
+//! bounded flip-bank cache, and replaced one flip-fraction `Vec<f64>` per
+//! macro with one flat SoA [`FlipBank`].  These tests pin the contract that
+//! made that refactor admissible: for random `(ChipConfig, mapping)` pairs,
+//! every construction path yields the same `RunReport` *bytes* under both
+//! execution backends, and the SoA bank reproduces the per-macro sequences
+//! of [`legacy_sequence`] bit-for-bit.
 
 use rand::Rng;
 use rand::RngCore;
@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 
 use pim_sim::backend::{AnalyticalBackend, CycleAccurate, ExecutionBackend};
 use pim_sim::chip::{ChipConfig, ChipSimulator, ChipTemplate, MacroTask, StaticController};
-use pim_sim::stream::{FlipBank, FlipSequence};
+use pim_sim::stream::FlipBank;
 
 /// Draws a random but valid chip configuration.
 fn random_config(rng: &mut ChaCha8Rng) -> ChipConfig {
@@ -91,23 +91,35 @@ fn template_with_seed_matches_fresh_construction() {
                     want,
                     report_bytes(backend, &templated, 3_000),
                     "trial {trial} offset {seed_offset}: template diverged from \
-                     fresh construction under {:?}",
-                    backend.kind(),
+                     fresh construction under {backend:?}",
                 );
                 assert_eq!(
                     want,
                     report_bytes(backend, &cached, 3_000),
                     "trial {trial} offset {seed_offset}: cached flip bank diverged \
-                     under {:?}",
-                    backend.kind(),
+                     under {backend:?}",
                 );
             }
         }
     }
 }
 
-/// The SoA flip bank must reproduce the legacy per-macro `FlipSequence`
-/// fractions bit-for-bit for random distribution parameters.
+/// One macro's flip sequence as the chip simulator sampled it before the
+/// SoA bank: `len` clamped Box–Muller draws over its own `ChaCha8Rng`.
+fn legacy_sequence(len: usize, mean: f64, std: f64, seed: u64) -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            (mean + std * z).clamp(0.0, 1.0)
+        })
+        .collect()
+}
+
+/// The SoA flip bank must reproduce the legacy per-macro sequences
+/// bit-for-bit, wrapping included, for random distribution parameters.
 #[test]
 fn flip_bank_matches_legacy_sequences_for_random_params() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF11B_BA2C);
@@ -120,12 +132,11 @@ fn flip_bank_matches_legacy_sequences_for_random_params() {
 
         let bank = FlipBank::normal(macros, len, mean, std, base_seed);
         for m in 0..macros {
-            let legacy =
-                FlipSequence::normal(len, mean, std, base_seed.wrapping_add(m as u64 * 7919));
+            let legacy = legacy_sequence(len, mean, std, base_seed.wrapping_add(m as u64 * 7919));
             for cycle in 0..(len as u64 * 2) {
                 assert_eq!(
                     bank.at(m, cycle).to_bits(),
-                    legacy.at(cycle).to_bits(),
+                    legacy[(cycle % len as u64) as usize].to_bits(),
                     "macro {m} cycle {cycle} diverged from legacy sequence",
                 );
             }

@@ -89,13 +89,6 @@ impl DagStage {
         self.slo = Some(slo);
         self
     }
-
-    /// Sets the mean think-time gap before this stage issues.
-    #[must_use]
-    pub fn with_think_gap(mut self, mean_cycles: u64) -> Self {
-        self.mean_think_gap_cycles = mean_cycles;
-        self
-    }
 }
 
 /// A reusable multi-stage request shape: a DAG of model invocations where

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use aim::core::booster::{BoosterConfig, IrBoosterController};
 use aim::core::pipeline::{run_model, AimConfig};
-use aim::pim::chip::{ChipConfig, ChipSimulator, MacroTask, StaticController};
+use aim::pim::backend::CycleAccurate;
+use aim::pim::chip::{ChipConfig, ChipSimulator, MacroTask, SimSession, StaticController};
 use aim::wl::zoo::Model;
 
 use aim::core::metrics::{hamming_rate_i8, pearson_correlation, rtog_cycle};
@@ -48,15 +49,15 @@ fn fixed_seed_reproduces_identical_run_reports() {
         ..ChipConfig::default()
     };
 
-    // Static controller: fresh scratch per run and one scratch reused across
-    // three runs must agree exactly.
+    // Static controller: fresh scratch per run and one session's scratch
+    // reused across three runs must agree exactly.
     let sim = ChipSimulator::new(config.clone(), tasks(8));
     let mut ctrl = StaticController::nominal(&params);
     let fresh = sim.run(&mut ctrl, 20_000);
-    let mut scratch = sim.scratch();
+    let mut session = SimSession::new();
     for _ in 0..3 {
         let mut ctrl = StaticController::nominal(&params);
-        let reused = sim.run_with_scratch(&mut ctrl, 20_000, &mut scratch);
+        let reused = session.run_with_backend(&CycleAccurate, &sim, &mut ctrl, 20_000);
         assert_eq!(fresh, reused, "scratch reuse must not change the report");
     }
 
