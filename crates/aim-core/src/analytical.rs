@@ -216,6 +216,23 @@ mod tests {
     }
 
     #[test]
+    fn calibration_builds_flip_banks_for_its_probe_batches_only() {
+        let config = AimConfig {
+            operator_stride: None,
+            ..quick(AimConfig::baseline())
+        };
+        let plan = CompiledPlan::compile(&Model::resnet18(), &config);
+        let batches = plan.num_batches();
+        assert!(batches > CALIBRATION_PROBES, "only {batches} batches");
+        let _ = AnalyticalPlan::calibrate(&plan);
+        let probes = [0, batches / 2, batches - 1];
+        let banks: Vec<usize> = (0..batches)
+            .map(|i| usize::from(probes.contains(&i)))
+            .collect();
+        assert_eq!(plan.cached_banks(), banks);
+    }
+
+    #[test]
     fn adjusted_cycles_and_distortion_scale_the_prediction() {
         let plan = CompiledPlan::compile(&Model::mobilenet_v2(), &quick(AimConfig::baseline()));
         let ana = AnalyticalPlan::calibrate(&plan);

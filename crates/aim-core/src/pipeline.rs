@@ -313,7 +313,11 @@ pub struct PlannedBatch {
 /// ([`Self::execute_with_session`]).  Each replay still constructs its
 /// batches' simulators (the per-replay seed changes the flip sequences), but
 /// the cycle-loop scratch is reused through one [`SimSession`] per chip
-/// worker, so the simulation loop itself stays allocation-free.
+/// worker, so the simulation loop itself stays allocation-free.  A
+/// simulator carries no flip bank until it first runs cycle-accurately:
+/// it then fetches its seed's bank from its batch template's cache, so
+/// analytical predictions (calibration's non-probe batches included) never
+/// build one.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     model: String,
@@ -454,10 +458,12 @@ impl CompiledPlan {
     /// [`run_model`] exactly.
     ///
     /// Instantiation goes through the batch's compile-once [`ChipTemplate`]:
-    /// topology and electrical models are shared, and the flip bank for a
-    /// given seed is served from the template's bounded cache, so repeated
-    /// replays of the same plan (calibration probes, audit chips, offset-0
-    /// serve paths) pay no reconstruction beyond an `Arc` clone.
+    /// topology and electrical models are shared, and the simulator builds
+    /// no flip bank.  Its first cycle-accurate run fetches the seed's bank
+    /// from the template's bounded cache, so repeated replays of the same
+    /// plan (calibration probes, audit chips, offset-0 serve paths) pay no
+    /// reconstruction beyond an `Arc` clone, and a simulator only ever
+    /// predicted analytically pays for no bank at all.
     pub(crate) fn batch_simulator(&self, batch_idx: usize, seed_offset: u64) -> ChipSimulator {
         self.batches[batch_idx].template.with_seed(
             self.chip_config
@@ -465,6 +471,15 @@ impl CompiledPlan {
                 .wrapping_add(batch_idx as u64)
                 .wrapping_add(seed_offset),
         )
+    }
+
+    /// How many flip banks each batch's template holds.
+    #[cfg(test)]
+    pub(crate) fn cached_banks(&self) -> Vec<usize> {
+        self.batches
+            .iter()
+            .map(|b| b.template.cached_banks())
+            .collect()
     }
 
     /// The controller family the plan was compiled for: the IR-Booster when

@@ -2,7 +2,9 @@
 //! cost.  The serve hot path replays compiled plans thousands of times, and
 //! before the compile-once template split every replay paid a full
 //! `ChipSimulator::new` (set derivation + 64 Box–Muller flip sequences).
-//! These benches pin the three construction paths against each other:
+//! A simulator fetches its flip bank on its first cycle-accurate cycle, so
+//! each iteration runs that one cycle.  These benches pin the three
+//! construction paths against each other:
 //!
 //! * `chip_sim_construct_fresh` — the legacy path: full `ChipSimulator::new`
 //!   per replay (template + bank built from scratch every time).
@@ -15,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use ir_model::process::ProcessParams;
-use pim_sim::chip::{ChipConfig, ChipSimulator, ChipTemplate, MacroTask};
+use pim_sim::chip::{ChipConfig, ChipSimulator, ChipTemplate, MacroTask, StaticController};
 
 fn tasks(hr: f64, cycles: u64) -> Vec<Option<MacroTask>> {
     let params = ProcessParams::dpim_7nm();
@@ -34,6 +36,12 @@ fn bench_config() -> ChipConfig {
     }
 }
 
+/// Runs the first cycle of `sim`, which builds or fetches its flip bank.
+fn first_cycle(sim: &ChipSimulator) -> u64 {
+    let mut ctrl = StaticController::nominal(&sim.config().params);
+    sim.run(&mut ctrl, 1).total_cycles
+}
+
 fn bench_construct_fresh(c: &mut Criterion) {
     let config = bench_config();
     let tasks = tasks(0.35, 2_000);
@@ -41,13 +49,13 @@ fn bench_construct_fresh(c: &mut Criterion) {
     c.bench_function("chip_sim_construct_fresh", |b| {
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            ChipSimulator::new(
+            first_cycle(&ChipSimulator::new(
                 ChipConfig {
                     seed,
                     ..config.clone()
                 },
                 tasks.clone(),
-            )
+            ))
         })
     });
 }
@@ -60,7 +68,7 @@ fn bench_construct_with_seed(c: &mut Criterion) {
             // A fresh seed each iteration defeats the flip-bank cache, so
             // this measures template reuse alone (shared topology/models).
             seed = seed.wrapping_add(1);
-            template.with_seed(seed)
+            first_cycle(&template.with_seed(seed))
         })
     });
 }
@@ -68,9 +76,9 @@ fn bench_construct_with_seed(c: &mut Criterion) {
 fn bench_construct_cached(c: &mut Criterion) {
     let template = ChipTemplate::new(bench_config(), tasks(0.35, 2_000));
     // Warm the cache once; every iteration below is a pure cache hit.
-    let _ = template.with_seed(42);
+    first_cycle(&template.with_seed(42));
     c.bench_function("chip_sim_construct_cached", |b| {
-        b.iter(|| template.with_seed(42))
+        b.iter(|| first_cycle(&template.with_seed(42)))
     });
 }
 

@@ -1,7 +1,8 @@
 //! # aim-bench — experiment harness shared helpers
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper's evaluation section (see `DESIGN.md` for the per-experiment index).
+//! paper's evaluation section; each is named after the figure or table it
+//! reproduces (`fig18_beta_sweep`, `table2_hr_reduction`, …).
 //! This library holds the small amount of shared plumbing: consistent table
 //! printing, JSON result dumps, and the reduced-cost pipeline configurations
 //! used when an experiment only needs the *shape* of a result rather than a

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates six networks (ResNet18, MobileNetV2, YOLOv5, ViT,
 //! Llama3.2-1B, GPT2) on their native datasets; reproducing those training
-//! and evaluation pipelines is out of scope, so DESIGN.md documents this
-//! substitution: accuracy impact is modelled as a function of how far the
+//! and evaluation pipelines is out of scope, so this module substitutes a
+//! proxy: accuracy impact is modelled as a function of how far the
 //! HR-optimisation moved the weights away from the baseline quantized model.
 //!
 //! The proxy captures the three qualitative behaviours the paper reports:

@@ -189,27 +189,23 @@ pub struct InterpolatedHr {
 /// Below 2⁵², where every integer is an exact `f64`, a truncating cast and
 /// a one-step correction give both: the default x86-64 target has no
 /// SSE4.1 `roundsd`, so `floor` and `ceil` are soft-float calls there.
-/// Non-finite `x` and `|x| ≥ 2⁵²` (always integral) take `floor`/`ceil`;
-/// either way the result equals `(x.floor(), (x.floor() - x.ceil()).abs()
-/// < f64::EPSILON)` bit for bit.
+/// Every finite `x` with `|x| ≥ 2⁵²` is an integer, its own floor and
+/// ceiling, and a non-finite `x` is returned as is by both, so those take
+/// `(x, x.is_finite())`.  Either way the result equals `(x.floor(),
+/// (x.floor() - x.ceil()).abs() < f64::EPSILON)` bit for bit.
 #[inline]
 #[must_use]
 pub(crate) fn lattice_cell(x: f64) -> (f64, bool) {
     const INTEGRAL: f64 = 4_503_599_627_370_496.0; // 2^52
     if x.abs() < INTEGRAL {
         let truncated = (x as i64) as f64;
-        if truncated == x {
-            return (x, true);
-        }
-        let low = if x < truncated {
-            truncated - 1.0
-        } else {
-            truncated
-        };
-        return (low, false);
+        // Truncation rounds a negative non-integer up, so step down one;
+        // the sign of `x` restores −0.0, its own floor.  Both are
+        // arithmetic rather than branches on the sign of `x`.
+        let low = (truncated - f64::from(u8::from(x < truncated))).copysign(x);
+        return (low, truncated == x);
     }
-    let low = x.floor();
-    (low, (low - x.ceil()).abs() < f64::EPSILON)
+    (x, x.is_finite())
 }
 
 /// Interpolated HR of a floating-point weight `w` under scale `s` (Eq. 5).
@@ -276,9 +272,10 @@ pub fn smoothed_hr_gradient(w: f64, scale: f64, table: &HrTable, radius_lsb: u32
 /// only depends on `q = ⌊w/s⌋`.  Precomputing one slope per cell turns the
 /// `2·radius + 1` interpolations per weight of the training hot loop into a
 /// single table lookup.  At exact lattice points the gradient is 0, matching
-/// [`interpolated_hr`].  Each cell also keeps the HR at both of its ends, so
-/// the training loop reads a weight's interpolated HR and slope from one
-/// entry.
+/// [`interpolated_hr`]; the slope table ends with one extra zero-slope entry
+/// that [`Self::locate`] points on-lattice weights at.  Each cell also keeps
+/// the HR at both of its ends, so one lookup gives a weight's interpolated
+/// HR and its slope entry.
 #[derive(Debug, Clone)]
 pub struct SmoothedHrSlopes {
     scale: f64,
@@ -302,7 +299,8 @@ impl SmoothedHrSlopes {
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is not strictly positive.
+    /// Panics if `scale` is not strictly positive, or if the radius makes
+    /// the table too large for a `u32` entry index.
     #[must_use]
     pub fn new(table: &HrTable, scale: f64, radius_lsb: u32) -> Self {
         assert!(scale > 0.0, "quantization scale must be positive");
@@ -314,6 +312,12 @@ impl SmoothedHrSlopes {
         // end cells of the table do.
         let q_min = i64::from(table.min_value()) - r - 1;
         let q_max = i64::from(table.max_value()) + r;
+        // `locate` numbers the cells and the trailing zero-slope entry
+        // with a `u32`.
+        assert!(
+            q_max - q_min < i64::from(u32::MAX),
+            "a smoothing radius of {radius_lsb} LSB overflows the slope table's u32 index"
+        );
         let cells = (q_min..=q_max)
             .map(|q| {
                 let mut sum = 0.0;
@@ -342,31 +346,44 @@ impl SmoothedHrSlopes {
             // Exact lattice point: Eq. 5 defines the gradient as 0.
             return 0.0;
         }
-        self.cell(low).slope
+        self.cells[self.cell_index(low)].slope
     }
 
-    /// Interpolated HR (Eq. 5) of `w` under the table this lookup was built
-    /// from, and the smoothed gradient at `w`, from one division and one
-    /// cell: equal bit for bit to `interpolated_hr(w, scale, table).value`
-    /// and `self.gradient(w)`.
+    /// The slope of every entry [`Self::locate`] can return, in entry
+    /// order: one per cell, then the zero slope of the lattice points.
+    pub(crate) fn entry_slopes(&self) -> impl Iterator<Item = f64> + '_ {
+        self.cells
+            .iter()
+            .map(|cell| cell.slope)
+            .chain(std::iter::once(0.0))
+    }
+
+    /// Interpolated HR (Eq. 5) at the lattice coordinate `x = w / s` under
+    /// the table this lookup was built from, and the entry of
+    /// [`Self::entry_slopes`] holding the smoothed gradient at `w`: the HR
+    /// equals `interpolated_hr(w, scale, table).value` and the entry's
+    /// slope equals `self.gradient(w)`, bit for bit.
+    ///
+    /// There is no branch on the lattice test: on a lattice point `p` is
+    /// +0, so the interpolation returns the cell's `hr_low` exactly.
     #[inline]
     #[must_use]
-    pub(crate) fn hr_and_gradient(&self, w: f64) -> (f64, f64) {
-        let x = w / self.scale;
+    pub(crate) fn locate(&self, x: f64) -> (u32, f64) {
         let (low, on_lattice) = lattice_cell(x);
-        let cell = self.cell(low);
-        if on_lattice {
-            return (cell.hr_low, 0.0);
-        }
+        let index = self.cell_index(low);
+        let cell = self.cells[index];
         let p = x - low;
-        ((1.0 - p) * cell.hr_low + p * cell.hr_high, cell.slope)
+        let hr = (1.0 - p) * cell.hr_low + p * cell.hr_high;
+        let entry = if on_lattice { self.cells.len() } else { index };
+        // `new` asserts that every entry fits a `u32`.
+        (entry as u32, hr)
     }
 
-    /// The cell `⌊x⌋ = low`, clamped to the table.
+    /// Index of the cell `⌊x⌋ = low`, clamped to the table.
     #[inline]
-    fn cell(&self, low: f64) -> CellHr {
+    fn cell_index(&self, low: f64) -> usize {
         let last = self.q_min + self.cells.len() as i64 - 1;
-        self.cells[((low as i64).clamp(self.q_min, last) - self.q_min) as usize]
+        ((low as i64).clamp(self.q_min, last) - self.q_min) as usize
     }
 }
 
@@ -702,16 +719,27 @@ mod tests {
     }
 
     #[test]
-    fn hr_and_gradient_matches_the_separate_lookups() {
+    fn locate_matches_the_separate_lookups() {
         let table = HrTable::new(8);
         let slopes = SmoothedHrSlopes::new(&table, 0.5, 4);
+        let entry_slopes: Vec<f64> = slopes.entry_slopes().collect();
         let weights = (0..257).map(|i| f64::from(i as f32 * 0.37 - 40.0));
         for w in weights.chain(edge_coordinates()) {
-            let (value, gradient) = slopes.hr_and_gradient(w);
+            let (entry, value) = slopes.locate(w / 0.5);
             let expected = interpolated_hr(w, 0.5, &table).value;
             assert_eq!(value.to_bits(), expected.to_bits(), "value at {w:e}");
-            assert_eq!(gradient.to_bits(), slopes.gradient(w).to_bits());
+            assert_eq!(
+                entry_slopes[entry as usize].to_bits(),
+                slopes.gradient(w).to_bits(),
+                "slope at {w:e}"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the slope table's u32 index")]
+    fn slope_table_rejects_a_radius_its_index_cannot_number() {
+        let _ = SmoothedHrSlopes::new(&HrTable::new(8), 1.0, u32::MAX / 2);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's baseline is a standard symmetric QAT recipe; LHR is a single
 //! extra loss term added on top (its public integration point is literally
 //! one line in a PyTorch training loop).  Reproducing a full vision or
-//! language training run is out of scope here, so this module uses the
-//! documented substitution from DESIGN.md:
+//! language training run is out of scope here, so this module substitutes
+//! a dataset-free proxy for the task:
 //!
 //! * The *task loss* is a **weight-regression proxy**: the fake-quantized
 //!   weights should stay close to the original float weights (per-element
@@ -122,96 +122,122 @@ pub fn train_layer(name: &str, original: &Tensor, config: &QatConfig) -> QatOutc
 /// The epoch loop: trains a copy of `original` under the fixed `scale` and
 /// returns the float weights.
 ///
-/// Each epoch is one pass.  It updates every weight with the slope of the
-/// lattice cell the previous pass cached for it, and adds the weight's new
-/// interpolated HR into the next epoch's mean in index order, so the mean
-/// is the one a separate pass over the updated weights would sum.  An
-/// epoch reads nothing but the weights (and that mean, which derives from
-/// them), so once an epoch moves no weight every later epoch would repeat
-/// it: the loop stops there.  The baseline recipe, whose weights start at
-/// their anchors inside the dead zone, stops after one epoch.
+/// Both gradient terms are expressed in LSB (lattice) units so that their
+/// balance is independent of the layer's quantization scale:
+///
+/// * task gradient — weight-regression proxy with a dead zone: no pull
+///   while the weight stays within `anchor_dead_zone_lsb` of its original
+///   value, linear pull back beyond that;
+/// * LHR gradient — slope of the interpolated HR (per lattice unit), scaled
+///   by λ, pulling towards the nearest low-HR lattice point.
+///   ∂(HR²)/∂w = 2·HR·∂HR/∂w, where 2·HR is fixed for the epoch; the
+///   smoothed slope is per float unit, so the scale turns it per LSB.
+///
+/// Each weight carries the entry of its lattice cell's slope in the
+/// [`SmoothedHrSlopes`] table (the zero-slope entry on a lattice point;
+/// the baseline recipe has the one entry 0), so an epoch first turns the
+/// table into each entry's LHR gradient and into the step a weight inside
+/// the dead zone takes, and then makes two passes:
+///
+/// 1. update every weight and write its lattice coordinate `w / s` to a
+///    scratch buffer.  A weight inside the dead zone (see
+///    [`dead_zone_threshold`]) has a task gradient of exactly +0.0 and
+///    takes its entry's step; only one at or past the edge divides.
+/// 2. look up each coordinate's interpolated HR and slope entry, summing
+///    the HR into the next epoch's mean in index order.
+///
+/// An epoch reads nothing but the weights (and that mean, which derives
+/// from them), so once an epoch moves no weight every later epoch would
+/// repeat it: the loop stops there.  The baseline recipe, whose weights
+/// start at their anchors inside the dead zone, stops after one epoch.
 fn train_weights(original: &[f32], scale: f64, config: &QatConfig) -> Vec<f32> {
     let mut weights = original.to_vec();
-    let mut lhr = config
-        .lhr
-        .map(|cfg| LhrState::new(cfg.lambda, &weights, scale, config));
+    let slopes = config.lhr.map(|cfg| {
+        let table = HrTable::new(config.bits);
+        let slopes = SmoothedHrSlopes::new(&table, scale, config.lhr_smoothing_radius_lsb);
+        (cfg.lambda, slopes)
+    });
+    let entry_slopes: Vec<f64> = slopes
+        .as_ref()
+        .map_or_else(|| vec![0.0], |(_, s)| s.entry_slopes().collect());
+    let mut reg_grad_lsb = vec![0.0; entry_slopes.len()];
+    let mut inside_step = vec![0.0f32; entry_slopes.len()];
+    let mut entries = vec![0u32; weights.len()];
+    let mut lattice: Vec<f64> = weights.iter().map(|&w| f64::from(w) / scale).collect();
+    let mut mean_hr = slopes
+        .as_ref()
+        .map_or(0.0, |(_, s)| observe(s, &lattice, &mut entries));
     let step = config.learning_rate * scale;
     let dead_zone = config.anchor_dead_zone_lsb;
+    let inside = dead_zone_threshold(dead_zone, scale);
     for _ in 0..config.epochs {
-        // Both gradient terms are expressed in LSB (lattice) units so that
-        // their balance is independent of the layer's quantization scale:
-        //
-        // * task gradient — weight-regression proxy with a dead zone: no
-        //   pull while the weight stays within `anchor_dead_zone_lsb` of its
-        //   original value, linear pull back beyond that;
-        // * LHR gradient — slope of the interpolated HR (per lattice unit),
-        //   scaled by λ, pulling towards the nearest low-HR lattice point.
-        //   ∂(HR²)/∂w = 2·HR·∂HR/∂w, where 2·HR is fixed for the epoch; the
-        //   smoothed slope is per float unit, so the scale turns it per LSB.
-        let pull = lhr
-            .as_ref()
-            .map_or(0.0, |state| state.lambda * 2.0 * state.mean_hr);
-        let mut hr_sum = 0.0;
-        let mut moved = false;
-        for (i, (w, &anchor)) in weights.iter_mut().zip(original).enumerate() {
-            let displacement_lsb = (f64::from(*w) - f64::from(anchor)) / scale;
-            let task_grad_lsb = displacement_lsb - displacement_lsb.clamp(-dead_zone, dead_zone);
-            let reg_grad_lsb = match &lhr {
-                Some(state) => pull * state.cell_slopes[i] * scale,
-                None => 0.0,
-            };
-            let updated = *w - (step * (task_grad_lsb + reg_grad_lsb)) as f32;
-            moved |= updated.to_bits() != w.to_bits();
-            *w = updated;
-            if let Some(state) = &mut lhr {
-                let (hr, slope) = state.slopes.hr_and_gradient(f64::from(updated));
-                hr_sum += hr;
-                state.cell_slopes[i] = slope;
+        if let Some((lambda, _)) = &slopes {
+            let pull = lambda * 2.0 * mean_hr;
+            for (reg, slope) in reg_grad_lsb.iter_mut().zip(&entry_slopes) {
+                *reg = pull * slope * scale;
             }
         }
-        if let Some(state) = &mut lhr {
-            state.mean_hr = mean(hr_sum, weights.len());
+        // The update below with a task gradient of +0.0; `0.0 + reg` turns
+        // a −0.0 gradient into +0.0 as that sum does.
+        for (to, reg) in inside_step.iter_mut().zip(&reg_grad_lsb) {
+            *to = (step * (0.0 + reg)) as f32;
+        }
+        let mut moved = false;
+        for (((w, &anchor), &entry), x) in weights
+            .iter_mut()
+            .zip(original)
+            .zip(&entries)
+            .zip(&mut lattice)
+        {
+            let diff = f64::from(*w) - f64::from(anchor);
+            let delta = if diff.abs() < inside {
+                inside_step[entry as usize]
+            } else {
+                let displacement_lsb = diff / scale;
+                let task_grad_lsb =
+                    displacement_lsb - displacement_lsb.clamp(-dead_zone, dead_zone);
+                (step * (task_grad_lsb + reg_grad_lsb[entry as usize])) as f32
+            };
+            let updated = *w - delta;
+            moved |= updated.to_bits() != w.to_bits();
+            *w = updated;
+            *x = f64::from(updated) / scale;
         }
         if !moved {
             break;
+        }
+        if let Some((_, slopes)) = &slopes {
+            mean_hr = observe(slopes, &lattice, &mut entries);
         }
     }
     weights
 }
 
-/// What the LHR term carries from one epoch to the next, all of the
-/// current weights.
-struct LhrState {
-    lambda: f64,
-    /// The smoothed-HR slope is piecewise constant per lattice cell, so one
-    /// table sized to this layer's scale serves every weight of every epoch.
-    slopes: SmoothedHrSlopes,
-    /// Smoothed slope of each weight's lattice cell.
-    cell_slopes: Vec<f64>,
-    /// Mean interpolated HR of the weights.
-    mean_hr: f64,
+/// The second pass of an epoch: points every weight at its slope entry
+/// and returns the mean interpolated HR of the `lattice` coordinates,
+/// summed in index order from +0.0.
+fn observe(slopes: &SmoothedHrSlopes, lattice: &[f64], entries: &mut [u32]) -> f64 {
+    let mut hr_sum = 0.0;
+    for (entry, &x) in entries.iter_mut().zip(lattice) {
+        let (cell, hr) = slopes.locate(x);
+        *entry = cell;
+        hr_sum += hr;
+    }
+    mean(hr_sum, lattice.len())
 }
 
-impl LhrState {
-    fn new(lambda: f64, weights: &[f32], scale: f64, config: &QatConfig) -> Self {
-        let table = HrTable::new(config.bits);
-        let slopes = SmoothedHrSlopes::new(&table, scale, config.lhr_smoothing_radius_lsb);
-        let mut hr_sum = 0.0;
-        let cell_slopes = weights
-            .iter()
-            .map(|&w| {
-                let (hr, slope) = slopes.hr_and_gradient(f64::from(w));
-                hr_sum += hr;
-                slope
-            })
-            .collect();
-        Self {
-            lambda,
-            slopes,
-            cell_slopes,
-            mean_hr: mean(hr_sum, weights.len()),
-        }
-    }
+/// Below this distance `|w − anchor|` from its anchor a weight is strictly
+/// inside the dead zone and its task gradient `d − d.clamp(−dz, dz)`, with
+/// `d = (w − anchor) / s`, is exactly +0.0.
+///
+/// The bound is `dz·s` shrunk by a relative 1e-9, far more than the
+/// rounding error of computing it, so below it `|w − anchor| / s < dz`
+/// holds exactly and the rounded quotient `|d|` is at most `dz`.  Where `dz·s` is
+/// subnormal the relative argument fails, but there the bound is far below
+/// 2⁻¹⁴⁹, the least non-zero difference of two `f32`s, so only `d = ±0`
+/// passes.  A zero or NaN dead zone passes nothing.
+fn dead_zone_threshold(dead_zone: f64, scale: f64) -> f64 {
+    dead_zone * scale * (1.0 - 1e-9)
 }
 
 /// Mean of `len` values summing to `sum`; 0 for none.
@@ -334,14 +360,16 @@ mod tests {
     /// A layer of `len` weights: `kind` 0 is empty, 1 a single Gaussian
     /// weight, 2 and 3 Gaussian, 4 integer multiples of a power of two
     /// with the largest at the top of the range, so every weight sits on a
-    /// lattice point of the fitted scale.
+    /// lattice point of the fitted scale, and 5 a Gaussian layer of the
+    /// size hostbench's zoo trains (4 096–16 384 weights).
     fn layer(kind: usize, len: usize, std: f64, seed: u64, bits: u32) -> Tensor {
         let len = match kind {
             0 => 0,
             1 => 1,
+            5 => 4096 + (seed % 12_289) as usize,
             _ => len,
         };
-        if kind < 4 {
+        if kind != 4 {
             return Tensor::randn(vec![len], std as f32, seed);
         }
         let qmax = (1i64 << (bits - 1)) - 1;
@@ -362,7 +390,7 @@ mod tests {
     proptest! {
         #[test]
         fn fused_loop_matches_the_two_pass_reference_bit_for_bit(
-            kind in 0usize..5,
+            kind in 0usize..6,
             len in 2usize..400,
             std in 0.002f64..0.5,
             seed in any::<u64>(),
@@ -372,6 +400,14 @@ mod tests {
             dead_zone in 0usize..3,
             epochs in 0usize..4,
         ) {
+            // Kind 5 trains with the recipe hostbench compiles with,
+            // `QatConfig::with_lhr(8)`: 8 bits, λ 4, radius 4, dead zone 4
+            // and 120 epochs.
+            let (bits, lambda, radius, dead_zone, epochs) = if kind == 5 {
+                (8, 3, 2, 2, 3)
+            } else {
+                (bits, lambda, radius, dead_zone, epochs)
+            };
             let tensor = layer(kind, len, std, seed, bits);
             let config = QatConfig {
                 epochs: [0, 1, 7, 120][epochs],
@@ -394,6 +430,15 @@ mod tests {
                 fused.len()
             );
 
+            if kind == 5 {
+                // Such layers carry weights to or past the dead-zone edge.
+                let inside = dead_zone_threshold(config.anchor_dead_zone_lsb, scheme.scale());
+                prop_assert!(reference
+                    .iter()
+                    .zip(tensor.data())
+                    .any(|(w, a)| (f64::from(*w) - f64::from(*a)).abs() >= inside));
+            }
+
             let want = outcome("layer", &tensor, scheme, reference);
             let got = train_layer("layer", &tensor, &config);
             prop_assert_eq!(got.hr_before.to_bits(), want.hr_before.to_bits());
@@ -403,6 +448,39 @@ mod tests {
                 want.relative_weight_shift.to_bits()
             );
             prop_assert_eq!(got.layer, want.layer);
+        }
+    }
+
+    proptest! {
+        /// Around the dead-zone edge `±dz·s` and around the threshold
+        /// itself, every distance the division-free test admits has a task
+        /// gradient `d − d.clamp(−dz, dz)` of +0.0 bit for bit, and nothing
+        /// at or past the edge is admitted.
+        #[test]
+        fn the_dead_zone_threshold_admits_only_a_zero_task_gradient(
+            ulps in -4i64..5,
+            negative in any::<bool>(),
+            at_threshold in any::<bool>(),
+            exponent in -6.0f64..2.0,
+            dead_zone in 0usize..3,
+        ) {
+            let dead_zone = [0.0, 0.5, 4.0][dead_zone];
+            let scale = 10f64.powf(exponent);
+            let threshold = dead_zone_threshold(dead_zone, scale);
+            let mut diff = if at_threshold { threshold } else { dead_zone * scale };
+            for _ in 0..ulps.unsigned_abs() {
+                diff = if ulps > 0 { diff.next_up() } else { diff.next_down() };
+            }
+            if negative {
+                diff = -diff;
+            }
+            let displacement_lsb = diff / scale;
+            let reference = displacement_lsb - displacement_lsb.clamp(-dead_zone, dead_zone);
+            let admitted = diff.abs() < threshold;
+            if admitted {
+                prop_assert_eq!(reference.to_bits(), 0.0f64.to_bits());
+            }
+            prop_assert!(!admitted || diff.abs() < dead_zone * scale);
         }
     }
 

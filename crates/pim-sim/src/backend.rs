@@ -182,6 +182,7 @@ impl ExecutionBackend for CycleAccurate {
         let mut freq_weighted_useful = 0.0f64;
 
         let topo = sim.topology.as_ref();
+        let flip_bank = sim.flip_bank();
         let mut cycle: u64 = 0;
         while cycle < max_cycles && unfinished > 0 {
             // --- fused activity / droop / monitoring sweep ----------------------
@@ -197,7 +198,7 @@ impl ExecutionBackend for CycleAccurate {
             scratch.rtog.fill(0.0);
             scratch.observations.clear();
             scratch.pending_failures.clear();
-            let flip_row = sim.flip_bank.row(cycle);
+            let flip_row = flip_bank.row(cycle);
             let mut worst_droop_this_cycle = 0.0f64;
             for g in 0..groups {
                 let point = scratch.points[g];

@@ -6,8 +6,8 @@
 //!
 //! 1. every active macro samples its instantaneous toggle rate
 //!    `Rtog = HR × flip_fraction` from its task's weight HR and an input
-//!    flip-fraction sequence (the statistical fidelity described in
-//!    DESIGN.md);
+//!    flip-fraction sequence (the statistical view of the input stream,
+//!    see [`crate::stream`]);
 //! 2. the group's IR-drop is evaluated for its worst macro and checked by the
 //!    voltage monitor at the group's current operating point;
 //! 3. an `IRFailure` suspends the failing macro's logical set and charges the
@@ -20,7 +20,7 @@
 //! provides mechanisms (droop, monitoring, stalls, recompute, accounting),
 //! the controller provides policy (which V-f pair to run).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -363,17 +363,19 @@ const FLIP_BANK_CACHE_CAP: usize = 16;
 ///
 /// Construction cost splits as: set derivation + electrical models (paid
 /// once, here) and the `macros × flip_sequence_len` Box–Muller flip bank
-/// (paid per *distinct* seed, behind a bounded cache shared across clones).
-/// A serving runtime replaying one plan thousands of times therefore stops
-/// paying construction on its audit/verification path entirely, and every
-/// instantiation stays bit-identical to a from-scratch
-/// [`ChipSimulator::new`].
+/// (paid per *distinct* seed, and only once a simulator of that seed runs
+/// cycle-accurately, behind a bounded cache shared across clones).  A
+/// serving runtime replaying one plan thousands of times therefore stops
+/// paying construction on its audit/verification path entirely, analytical
+/// predictions never build a bank, and every instantiation stays
+/// bit-identical to a from-scratch [`ChipSimulator::new`].
 #[derive(Debug, Clone)]
 pub struct ChipTemplate {
     config: ChipConfig,
     topology: Arc<ChipTopology>,
     /// Bounded LRU of generated flip banks, shared across template clones
-    /// (a cloned plan keeps hitting the same cache).
+    /// and the simulators they stamp (a cloned plan keeps hitting the same
+    /// cache).
     bank_cache: BankCache,
 }
 
@@ -410,60 +412,76 @@ impl ChipTemplate {
         &self.topology.tasks
     }
 
-    /// Instantiates a simulator for `seed`, reusing the shared topology and
-    /// the cached flip bank when this seed was instantiated before.
-    /// Bit-identical to `ChipSimulator::new` with the same config and tasks.
+    /// Instantiates a simulator for `seed` on the shared topology.  It
+    /// builds no flip bank: the simulator fetches its seed's bank from this
+    /// template's cache on its first cycle-accurate run (generating it on a
+    /// miss) and keeps it from then on.  Bit-identical to
+    /// `ChipSimulator::new` with the same config and tasks.
     #[must_use]
     pub fn with_seed(&self, seed: u64) -> ChipSimulator {
-        let flip_bank = self.flip_bank_for(seed);
         ChipSimulator {
             config: ChipConfig {
                 seed,
                 ..self.config.clone()
             },
             topology: Arc::clone(&self.topology),
-            flip_bank,
+            bank_cache: Arc::clone(&self.bank_cache),
+            flip_bank: OnceLock::new(),
         }
     }
 
-    /// The flip bank for `seed`: cached if seen before, generated (and
-    /// cached, evicting the least recently used entry past the bound)
-    /// otherwise.  Generation runs outside the lock; a concurrent miss on
-    /// the same key generates an identical bank, so whichever insert lands
-    /// first wins without affecting any result byte.
-    fn flip_bank_for(&self, seed: u64) -> Arc<FlipBank> {
-        let key: BankKey = (
-            seed,
-            self.config.flip_sequence_len,
-            self.config.flip_mean.to_bits(),
-            self.config.flip_std.to_bits(),
-        );
-        {
-            let mut cache = self.bank_cache.lock().expect("flip-bank cache poisoned");
-            if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-                let entry = cache.remove(pos);
-                let bank = Arc::clone(&entry.1);
-                cache.push(entry);
-                return bank;
-            }
-        }
-        let bank = Arc::new(FlipBank::normal(
-            self.config.params.total_macros(),
-            self.config.flip_sequence_len,
-            self.config.flip_mean,
-            self.config.flip_std,
-            seed,
-        ));
-        let mut cache = self.bank_cache.lock().expect("flip-bank cache poisoned");
-        if let Some((_, cached)) = cache.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(cached);
-        }
-        if cache.len() >= FLIP_BANK_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push((key, Arc::clone(&bank)));
-        bank
+    /// How many seeds' flip banks the template's cache holds (at most
+    /// [`FLIP_BANK_CACHE_CAP`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread panicked while holding the cache.
+    #[must_use]
+    pub fn cached_banks(&self) -> usize {
+        self.bank_cache
+            .lock()
+            .expect("flip-bank cache poisoned")
+            .len()
     }
+}
+
+/// The flip bank of `config` (its seed, length and distribution): cached
+/// if seen before, generated (and cached, evicting the least recently used
+/// entry past the bound) otherwise.  Generation runs outside the lock; a
+/// concurrent miss on the same key generates an identical bank, so
+/// whichever insert lands first wins without affecting any result byte.
+fn cached_flip_bank(cache: &BankCache, config: &ChipConfig) -> Arc<FlipBank> {
+    let key: BankKey = (
+        config.seed,
+        config.flip_sequence_len,
+        config.flip_mean.to_bits(),
+        config.flip_std.to_bits(),
+    );
+    {
+        let mut cache = cache.lock().expect("flip-bank cache poisoned");
+        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
+            let entry = cache.remove(pos);
+            let bank = Arc::clone(&entry.1);
+            cache.push(entry);
+            return bank;
+        }
+    }
+    let bank = Arc::new(FlipBank::normal(
+        config.params.total_macros(),
+        config.flip_sequence_len,
+        config.flip_mean,
+        config.flip_std,
+        config.seed,
+    ));
+    let mut cache = cache.lock().expect("flip-bank cache poisoned");
+    if let Some((_, cached)) = cache.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(cached);
+    }
+    if cache.len() >= FLIP_BANK_CACHE_CAP {
+        cache.remove(0);
+    }
+    cache.push((key, Arc::clone(&bank)));
+    bank
 }
 
 /// The chip simulator: geometry, tasks and per-macro runtime state.
@@ -477,13 +495,18 @@ impl ChipTemplate {
 ///
 /// The seed-independent parts live in a shared [`ChipTemplate`] /
 /// [`ChipTopology`]; a simulator is the pairing of one topology with one
-/// seed's [`FlipBank`].  Cloning is therefore cheap (two `Arc` bumps plus
-/// the config).
+/// seed.  Its seed's [`FlipBank`] is fetched from the template's cache on
+/// the first cycle-accurate run, the only reader, and kept for later runs;
+/// analytical predictions never fetch it.  Cloning is cheap (`Arc` bumps
+/// plus the config).
 #[derive(Debug, Clone)]
 pub struct ChipSimulator {
     pub(crate) config: ChipConfig,
     pub(crate) topology: Arc<ChipTopology>,
-    pub(crate) flip_bank: Arc<FlipBank>,
+    /// The template's bank cache, which [`Self::flip_bank`] reads from.
+    bank_cache: BankCache,
+    /// This seed's bank, once fetched.
+    flip_bank: OnceLock<Arc<FlipBank>>,
 }
 
 /// Most frequencies one [`VminMemo`] holds before it starts over.  A
@@ -703,6 +726,13 @@ impl ChipSimulator {
     #[must_use]
     pub fn tasks(&self) -> &[Option<MacroTask>] {
         &self.topology.tasks
+    }
+
+    /// This seed's flip bank, fetched from the template's cache (and
+    /// generated there on a miss) on the first call.
+    pub(crate) fn flip_bank(&self) -> &FlipBank {
+        self.flip_bank
+            .get_or_init(|| cached_flip_bank(&self.bank_cache, &self.config))
     }
 
     /// Worst offline-known HR per group (the HRG of §5.5.1), or `None` for

@@ -2,7 +2,8 @@
 //!
 //! The perf refactor split `ChipSimulator::new` into a seed-independent
 //! [`ChipTemplate`] plus a cheap `with_seed` instantiation backed by a
-//! bounded flip-bank cache, and replaced one flip-fraction `Vec<f64>` per
+//! bounded flip-bank cache (a simulator fetches its bank on its first
+//! cycle-accurate run), and replaced one flip-fraction `Vec<f64>` per
 //! macro with one flat SoA [`FlipBank`].  These tests pin the contract that
 //! made that refactor admissible: for random `(ChipConfig, mapping)` pairs,
 //! every construction path yields the same `RunReport` *bytes* under both
@@ -102,6 +103,26 @@ fn template_with_seed_matches_fresh_construction() {
             }
         }
     }
+}
+
+/// A simulator builds no flip bank until it runs cycle-accurately: an
+/// analytical prediction leaves the template's cache empty, the first
+/// cycle-accurate run adds its seed's bank, and later runs, of the same
+/// simulator or of another one at that seed, reuse it.
+#[test]
+fn flip_banks_are_built_on_the_first_cycle_accurate_run() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x1A2_BA4C);
+    let config = random_config(&mut rng);
+    let tasks = random_mapping(&mut rng, config.params.total_macros());
+    let template = ChipTemplate::new(config.clone(), tasks);
+    let sim = template.with_seed(config.seed);
+    report_bytes(&AnalyticalBackend::uncalibrated(), &sim, 3_000);
+    assert_eq!(template.cached_banks(), 0, "an analytical run built a bank");
+    report_bytes(&CycleAccurate, &sim, 3_000);
+    assert_eq!(template.cached_banks(), 1);
+    report_bytes(&CycleAccurate, &sim, 3_000);
+    report_bytes(&CycleAccurate, &template.with_seed(config.seed), 3_000);
+    assert_eq!(template.cached_banks(), 1);
 }
 
 /// One macro's flip sequence as the chip simulator sampled it before the

@@ -2,9 +2,9 @@
 //!
 //! The paper evaluates AIM on six networks — ResNet18, MobileNetV2, YOLOv5,
 //! ViT, Llama3.2-1B and GPT2 — running on ImageNet, COCO and Wikitext2.
-//! Neither the trained checkpoints nor the datasets are available in this
-//! environment, so this crate provides the documented substitution
-//! (DESIGN.md §1): operator-level *specifications* of each network with
+//! Neither the trained checkpoints nor the datasets are available to this
+//! reproduction, so this crate substitutes for them: operator-level
+//! *specifications* of each network with
 //! realistic layer shapes, synthetic weight tensors whose statistics match
 //! trained layers of that kind, and synthetic input generators with the
 //! activity statistics of images and token streams.
