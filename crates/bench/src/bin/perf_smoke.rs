@@ -1,53 +1,20 @@
 //! Performance smoke benchmark: times the chip-simulator hot loop (static and
-//! booster controllers) and the ResNet-18 end-to-end pipeline, and appends a
-//! labelled record to `BENCH_chip_sim.json` at the repository root so the
-//! performance trajectory is tracked PR over PR.
+//! booster controllers), chip construction and the ResNet-18 end-to-end
+//! pipeline, and prints the figures.  Host cost of the serving stack is
+//! measured by `hostbench`.
 //!
-//! Usage: `cargo run --release -p aim-bench --bin perf_smoke [-- --label <name>]
-//! [--bench-out <path>]`; `--bench-out` names the file the record is appended
-//! to (default: `BENCH_chip_sim.json` at the root of the checkout the binary
-//! was built in).
+//! Usage: `cargo run --release -p aim-bench --bin perf_smoke`; it takes no
+//! arguments and exits 1 on any.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use aim_bench::{append_bench_record, bench_out_arg, quick_pipeline};
+use aim_bench::quick_pipeline;
 use aim_core::booster::{BoosterConfig, IrBoosterController};
 use aim_core::pipeline::{run_model, AimConfig};
 use ir_model::process::ProcessParams;
 use pim_sim::chip::{ChipConfig, ChipSimulator, ChipTemplate, MacroTask, StaticController};
-use serde::Serialize;
 use workloads::zoo::Model;
-
-#[derive(Serialize)]
-struct PerfRecord {
-    label: String,
-    unix_time_s: u64,
-    host_threads: usize,
-    /// Wall-clock ms for one 10k-cycle chip simulation, static controller
-    /// (best of `REPS`).
-    chip_sim_static_ms: f64,
-    /// Same workload under the IR-Booster controller.
-    chip_sim_booster_ms: f64,
-    /// Simulated cycles per second for the static run.
-    static_cycles_per_sec: f64,
-    /// Wall-clock ms for the reduced ResNet-18 AIM pipeline (baseline +
-    /// full-low-power, the two runs the headline experiment needs per model).
-    resnet18_pipeline_ms: f64,
-    /// Wall-clock µs of one full legacy-path construction
-    /// (`ChipSimulator::new`: template + 64 × 512-sample flip bank, which
-    /// the first cycle-accurate cycle builds), best of `CONSTRUCT_REPS`.
-    construct_fresh_us: f64,
-    /// Wall-clock µs of `ChipTemplate::with_seed` plus the first cycle at
-    /// an unseen seed (shared topology, bank regenerated — the serve replay
-    /// cache-miss cost).
-    construct_with_seed_us: f64,
-    /// Wall-clock µs of `ChipTemplate::with_seed` plus the first cycle at a
-    /// cached seed (the calibration-probe / offset-0 replay cost).
-    construct_cached_us: f64,
-    /// `construct_fresh_us / construct_cached_us` — the repeated-replay
-    /// construction speedup the compile-once template buys.
-    construct_speedup: f64,
-}
 
 const REPS: usize = 5;
 const CONSTRUCT_REPS: usize = 200;
@@ -70,13 +37,11 @@ fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
     (best, out)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let label = args
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "run".to_string());
+fn main() -> ExitCode {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument {arg} (perf_smoke takes none)");
+        return ExitCode::FAILURE;
+    }
 
     let sim = ChipSimulator::new(
         ChipConfig {
@@ -87,6 +52,8 @@ fn main() {
     );
     let params = ProcessParams::dpim_7nm();
 
+    // One 10k-cycle chip simulation, static controller, then the same
+    // workload under the IR-Booster controller (best of `REPS`, ms).
     let (chip_sim_static_ms, static_cycles) = best_of(REPS, || {
         let mut ctrl = StaticController::nominal(&params);
         sim.run(&mut ctrl, 10_000).total_cycles
@@ -110,7 +77,8 @@ fn main() {
         sim.run(&mut ctrl, 1).total_cycles
     };
     let mut seed = 1u64;
-    let (construct_fresh_us, _) = best_of(CONSTRUCT_REPS, || {
+    // `ChipSimulator::new`: template + 64 × 512-sample flip bank.
+    let (construct_fresh_ms, _) = best_of(CONSTRUCT_REPS, || {
         seed = seed.wrapping_add(1);
         first_cycle(ChipSimulator::new(
             ChipConfig {
@@ -120,14 +88,20 @@ fn main() {
             bench_tasks(),
         ))
     });
+    // `ChipTemplate::with_seed` at an unseen seed: shared topology, bank
+    // regenerated (the serve replay cache-miss cost).
     let template = ChipTemplate::new(construct_config.clone(), bench_tasks());
-    let (construct_with_seed_us, _) = best_of(CONSTRUCT_REPS, || {
+    let (construct_with_seed_ms, _) = best_of(CONSTRUCT_REPS, || {
         seed = seed.wrapping_add(1);
         first_cycle(template.with_seed(seed))
     });
+    // `ChipTemplate::with_seed` at a cached seed (the calibration-probe /
+    // offset-0 replay cost).
     first_cycle(template.with_seed(42));
-    let (construct_cached_us, _) = best_of(CONSTRUCT_REPS, || first_cycle(template.with_seed(42)));
+    let (construct_cached_ms, _) = best_of(CONSTRUCT_REPS, || first_cycle(template.with_seed(42)));
 
+    // The reduced ResNet-18 AIM pipeline: baseline + full-low-power, the two
+    // runs the headline experiment needs per model.
     let model = Model::resnet18();
     let (resnet18_pipeline_ms, _) = best_of(2, || {
         let base = run_model(&model, &quick_pipeline(AimConfig::baseline(), 5));
@@ -135,42 +109,21 @@ fn main() {
         base.total_cycles + aim.total_cycles
     });
 
-    let record = PerfRecord {
-        label,
-        unix_time_s: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        chip_sim_static_ms,
-        chip_sim_booster_ms,
-        static_cycles_per_sec: static_cycles as f64 / (chip_sim_static_ms / 1e3),
-        resnet18_pipeline_ms,
-        construct_fresh_us: construct_fresh_us * 1e3,
-        construct_with_seed_us: construct_with_seed_us * 1e3,
-        construct_cached_us: construct_cached_us * 1e3,
-        construct_speedup: construct_fresh_us / construct_cached_us.max(f64::MIN_POSITIVE),
-    };
-
-    println!("perf_smoke [{}]", record.label);
+    println!("perf_smoke");
     println!(
-        "  chip_sim static   : {:>9.2} ms / 10k cycles ({:.0} cycles/s)",
-        record.chip_sim_static_ms, record.static_cycles_per_sec
+        "  chip_sim static   : {chip_sim_static_ms:>9.2} ms / 10k cycles ({:.0} cycles/s)",
+        static_cycles as f64 / (chip_sim_static_ms / 1e3)
     );
-    println!(
-        "  chip_sim booster  : {:>9.2} ms / 10k cycles",
-        record.chip_sim_booster_ms
-    );
-    println!(
-        "  resnet18 pipeline : {:>9.2} ms (baseline + full low-power)",
-        record.resnet18_pipeline_ms
-    );
+    println!("  chip_sim booster  : {chip_sim_booster_ms:>9.2} ms / 10k cycles");
+    println!("  resnet18 pipeline : {resnet18_pipeline_ms:>9.2} ms (baseline + full low-power)");
+    // The fresh/cached ratio is the repeated-replay construction speedup
+    // the compile-once template buys.
     println!(
         "  construct fresh   : {:>9.2} us / with_seed {:.2} us / cached {:.2} us ({:.1}x)",
-        record.construct_fresh_us,
-        record.construct_with_seed_us,
-        record.construct_cached_us,
-        record.construct_speedup
+        construct_fresh_ms * 1e3,
+        construct_with_seed_ms * 1e3,
+        construct_cached_ms * 1e3,
+        construct_fresh_ms / construct_cached_ms.max(f64::MIN_POSITIVE)
     );
-
-    append_bench_record(&bench_out_arg(&args), &record);
+    ExitCode::SUCCESS
 }

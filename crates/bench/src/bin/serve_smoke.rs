@@ -1,102 +1,82 @@
-//! Serving-runtime smoke benchmark: compiles four zoo models once, replays a
-//! bursty synthetic traffic trace across a fleet of simulated chips, checks
-//! the determinism contract, and appends a labelled record to
-//! `BENCH_chip_sim.json` at the repository root.
+//! Serving-runtime smoke benchmark: compiles four zoo models once, replays
+//! synthetic traffic across a fleet of simulated chips, and checks each
+//! leg's behaviour and the exact bytes of its report.
 //!
 //! Usage:
-//! `cargo run --release -p aim-bench --bin serve_smoke [-- --label <name>]
-//!  [--backend cycle-accurate|analytical]
-//!  [--mode offline|online|fleet|dag|global|hyperscale] [--check-regression]
-//!  [--requests <n>] [--bench-out <path>]`
+//! `cargo run --release -p aim-bench --bin serve_smoke [-- [--backend
+//!  cycle-accurate|analytical] [--mode offline|online|fleet|dag|global|hyperscale]]`
 //!
-//! `--bench-out` names the trajectory file the regression baseline is read
-//! from and the record is appended to (default: `BENCH_chip_sim.json` at
-//! the root of the checkout the binary was built in).
+//! Any other argument, or a flag without its value, exits 1 before a leg
+//! runs.
 //!
 //! With `--mode hyperscale` the benchmark streams a **million-request**
-//! diurnal-wave trace (`--requests` overrides the count) straight off the
-//! [`TraceStream`] generator into a 64-shard × 4-chip analytical fleet with
-//! chip deaths, a degradation episode and elastic scaling live.  Nothing
-//! scales with the request count: the trace is never materialised, latency
-//! pools are fixed-size sketches, served session state retires as groups
-//! resolve, and the streamed-outcome buffer is capped.  The run gates on
-//! request conservation, on byte-identical reports between a parallel
-//! coarse-stepped and a sequential fine-stepped session (worker-count and
-//! `run_until`-granularity independence at scale), on peak process RSS
-//! (`VmHWM`) staying under a ceiling independent of the request count, and
-//! (with `--check-regression`) on `serve_hyper_virtual_rps`, against the
-//! last recorded run of the same request count and chip count.
+//! diurnal-wave trace straight off the [`TraceStream`] generator into a
+//! 64-shard × 4-chip analytical fleet with chip deaths, a degradation
+//! episode and elastic scaling live.  Nothing scales with the request count:
+//! the trace is never materialised, latency pools are fixed-size sketches,
+//! served session state retires as groups resolve, and the streamed-outcome
+//! buffer is capped.  The run checks request conservation, byte-identical
+//! reports between a parallel coarse-stepped and a sequential fine-stepped
+//! session (worker-count and `run_until`-granularity independence at
+//! scale), and peak process RSS (`VmHWM`) staying under a ceiling
+//! independent of the request count.
 //!
 //! With `--mode fleet` the benchmark drives a 2-shard [`FleetSession`]
 //! through a scripted chaos drill — one chip death mid-burst, one
-//! degradation/recovery episode, elastic scaling live — and gates on
-//! request conservation (nothing lost to the faults), failover actually
-//! firing, byte-determinism across replays, and (with `--check-regression`)
-//! the per-backend virtual throughput under faults
-//! (`serve_fleet_virtual_rps` / `serve_fleet_ana_virtual_rps`).
+//! degradation/recovery episode, elastic scaling live — and checks request
+//! conservation (nothing lost to the faults), failover actually firing and
+//! byte-determinism across replays.
 //!
 //! With `--mode dag` the benchmark replays a conversational session — a
 //! mixed population of point requests and multi-stage request DAGs
 //! (cascades, fan-out/join ensembles, think-gap conversations) — through
 //! the [`DagOrchestrator`] over a 2-shard fleet with a chip death landing
-//! between cascade stages.  It gates on stage conservation (every stage of
-//! every DAG resolves exactly once; the stage ledger balances), on
-//! byte-determinism across replays, on priority inheritance *measurably
+//! between cascade stages.  It checks stage conservation (every stage of
+//! every DAG resolves exactly once; the stage ledger balances),
+//! byte-determinism across replays, and priority inheritance *measurably
 //! protecting* the latency-sensitive tail: the p99 of tail-stage
 //! completion with inheritance on must beat an inheritance-off control run
-//! of the same session, and (with `--check-regression`) on the per-backend
-//! virtual throughput (`serve_dag_virtual_rps` / `serve_dag_ana_virtual_rps`).
+//! of the same session.
 //!
 //! With `--mode global` the benchmark stands up a two-region
 //! [`GlobalRouter`] deployment — low-power silicon west, sprint silicon
 //! east — and scripts a region loss mid-burst, a best-effort flash crowd
-//! while the fleet is a region short, and a late failback.  It gates on
+//! while the fleet is a region short, and a late failback.  It checks
 //! request conservation *across the region loss* (served + rejected + shed
-//! equals submitted), byte-determinism across replays, the migration
-//! machinery actually firing, and (with `--check-regression`) the
-//! per-backend virtual throughput under region loss
-//! (`serve_global_virtual_rps` / `serve_global_ana_virtual_rps`).
+//! equals submitted), byte-determinism across replays and the migration
+//! machinery actually firing.
 //!
 //! With `--mode online` the benchmark drives the event-driven `ServeSession`
 //! instead of the offline wrapper: a fully *interleaved* mixed-SLO trace
 //! (20 % latency-sensitive / 30 % best-effort, `burst_repeat_prob` 0 so the
 //! old consecutive-only scan cannot batch it) is submitted request by
 //! request with periodic `run_until`/`poll_completions` stepping, and the
-//! record carries the per-SLO-class p99 split, the realised batching ratio
+//! printout carries the per-SLO-class p99 split, the realised batching ratio
 //! versus the offline `form_groups` baseline, and how many outcomes streamed
-//! out before the final drain.  The run gates on determinism and on the
-//! session batcher dominating the offline scan's batching ratio; with
-//! `--check-regression` it also gates its virtual throughput
-//! (`serve_online_virtual_rps` / `serve_online_ana_virtual_rps` per
-//! backend).
+//! out before the final drain.  The run checks determinism and the session
+//! batcher dominating the offline scan's batching ratio.
 //!
 //! With `--mode offline` (the default) and `--backend analytical` the same
 //! fleet is additionally served through the calibrated analytical backend
-//! (sampled verification on), and the run gates on three properties:
-//! reports stay deterministic, the observed analytical-vs-cycle-accurate
-//! cycle drift stays within the calibrated error bound, and replaying the
-//! trace analytically is at least 10× faster than the cycle-accurate fleet
-//! at equal chip count.
+//! (sampled verification on), and the run checks three properties: reports
+//! stay deterministic, the observed analytical-vs-cycle-accurate cycle drift
+//! stays within the calibrated error bound, and replaying the trace
+//! analytically is at least 10× faster than the cycle-accurate fleet at
+//! equal chip count.
 //!
-//! Every leg prints its record one field per line, then the verdict of each
-//! of its checks, and exits 1 if any check fails.  With `--check-regression`
-//! the binary also compares the leg's *virtual* serving throughput
-//! (requests per second of simulated chip time — deterministic and
-//! machine-independent) against the last record of the same workload (the
-//! same request count and fleet shape) in the trajectory file, and exits 1
-//! on a >20 % regression or when the trajectory holds no such record: the
-//! gate fails closed, so a renamed field or a changed workload cannot turn
-//! it off.  Each backend gates against its own field (`serve_virtual_rps`
-//! vs `serve_ana_virtual_rps`) so the matrix legs never cross-contaminate.
-//! Wall-clock figures are recorded alongside but never gated across
-//! machines.
+//! Every leg prints its figures one per line, then the verdict of each of
+//! its checks, and exits 1 if any check fails.  One check pins the leg's
+//! report: the 64-bit FNV-1a digest of its compact JSON must equal a
+//! constant in this file.  A report — virtual throughput, latencies and
+//! every counter — is a pure function of the trace, the fleet and the
+//! scheduler, byte-identical across hosts and worker counts, so the pin
+//! holds anywhere and fails on any change to a report byte.  After an
+//! intended change, re-pin by copying the digest the failing check prints.
+//! Wall-clock figures are printed alongside but never checked.
 
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use aim_bench::{append_bench_record, bench_out_arg, regression_verdict};
 use aim_core::pipeline::{AimConfig, CompiledPlan};
 use aim_serve::scheduler::form_groups;
 use aim_serve::{
@@ -114,8 +94,8 @@ use workloads::inputs::{
 };
 use workloads::zoo::Model;
 
-/// `fields![name: expression, …]`: record fields in trajectory order, each
-/// value serialised from its expression.
+/// `fields![name: expression, …]`: printed figures in order, each value
+/// serialised from its expression.
 macro_rules! fields {
     ($($name:ident: $value:expr),* $(,)?) => {
         vec![$((stringify!($name), Serialize::to_value(&$value))),*]
@@ -130,95 +110,30 @@ macro_rules! check {
     };
 }
 
-/// A trajectory record: named values in file order.
-struct Record(Vec<(&'static str, Value)>);
-
-impl Serialize for Record {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.0
-                .iter()
-                .map(|(name, value)| ((*name).to_string(), value.clone()))
-                .collect(),
-        )
-    }
-}
-
 /// What one leg hands the shared tail, [`finish`].
 struct Leg {
     /// Heading of the printout.
     title: String,
-    /// Record fields after the `label`, `unix_time_s`, `host_threads`
-    /// header every record starts with.
+    /// Figures printed after the `host_threads` every leg starts with.
     fields: Vec<(&'static str, Value)>,
     /// Pass/fail checks: whether each holds, and what it asserts.
     checks: Vec<(bool, String)>,
-    /// The regression-gated `*_virtual_rps` field; `None` for a record that
-    /// is appended but not gated.
-    gated: Option<&'static str>,
-    /// The record fields that key the gate's baseline: the workload.
-    keys: &'static [&'static str],
 }
 
-/// The options every leg's tail shares.
-struct Options {
-    label: String,
-    check_regression: bool,
-    bench_out: PathBuf,
-}
-
-/// The backend's own field of a `[cycle-accurate, analytical]` pair: the
-/// two backends record disjoint fields, so each gates only against its own
-/// history.
-const fn per_backend(backend: BackendKind, [cycle, ana]: [&'static str; 2]) -> &'static str {
-    match backend {
-        BackendKind::CycleAccurate => cycle,
-        BackendKind::Analytical => ana,
-    }
-}
-
-/// The shared tail of every leg: prints the record one field per line and
-/// the verdict of every check, appends the record to the trajectory, and
-/// (with `--check-regression`) gates the leg's virtual throughput against
-/// the last record of the same workload.  Returns whether every check and
-/// the gate passed.
-fn finish(leg: Leg, options: &Options) -> bool {
-    let mut record = fields![
-        label: options.label,
-        unix_time_s: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
+/// The shared tail of every leg: prints its figures one per line and the
+/// verdict of every check.  Returns whether every check passed.
+fn finish(leg: Leg) -> bool {
+    let mut fields = fields![
         host_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     ];
-    record.extend(leg.fields);
-    let number = |name: &str| match record.iter().find(|(field, _)| *field == name)?.1 {
-        Value::UInt(n) => Some(n as f64),
-        Value::Float(x) => Some(x),
-        _ => None,
-    };
-    // The baseline is read before this run's record lands in the trajectory.
-    // The gate compares *virtual* throughput — a pure function of the
-    // scheduler and the simulated fleet, byte-identical across hosts — so a
-    // slower CI runner cannot trip it and a faster one cannot mask a real
-    // scheduling regression.
-    let verdict = leg.gated.filter(|_| options.check_regression).map(|field| {
-        let workload: Vec<(&str, f64)> = leg
-            .keys
-            .iter()
-            .map(|&key| (key, number(key).expect("a gate's key fields are numbers")))
-            .collect();
-        let current = number(field).expect("a leg gates a numeric field of its record");
-        let trajectory = fs::read_to_string(&options.bench_out).unwrap_or_default();
-        regression_verdict(&trajectory, field, &workload, current)
-    });
-
-    println!("serve_smoke [{}] ({})", options.label, leg.title);
-    let width = record
+    fields.extend(leg.fields);
+    println!("serve_smoke ({})", leg.title);
+    let width = fields
         .iter()
         .map(|(field, _)| field.len())
         .max()
         .unwrap_or(0);
-    for (field, value) in &record {
+    for (field, value) in &fields {
         let shown = match value {
             Value::Str(text) => text.clone(),
             Value::UInt(n) => n.to_string(),
@@ -232,20 +147,9 @@ fn finish(leg: Leg, options: &Options) -> bool {
     for (holds, what) in &leg.checks {
         println!("  {} {what}", if *holds { "ok  " } else { "FAIL" });
     }
-    match &verdict {
-        Some(Ok(comparison)) => println!("  ok   regression: {comparison}"),
-        Some(Err(problem)) => println!("  FAIL regression: {problem}"),
-        None => {}
-    }
-    append_bench_record(&options.bench_out, &Record(record));
-
     let mut passed = true;
     for (_, what) in leg.checks.iter().filter(|(holds, _)| !holds) {
         eprintln!("error: {}: check failed: {what}", leg.title);
-        passed = false;
-    }
-    if let Some(Err(problem)) = verdict {
-        eprintln!("error: {}: {problem}", leg.title);
         passed = false;
     }
     passed
@@ -256,6 +160,24 @@ const REPS: usize = 3;
 /// Compact JSON of a report, the bytes the determinism checks compare.
 fn json<R: Serialize>(report: &R) -> Option<String> {
     serde_json::to_string(report).ok()
+}
+
+/// 64-bit FNV-1a digest of `bytes`.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The check that `report` has the bytes pinned for its leg: the
+/// [`digest`] of its compact JSON equals `pinned`.
+fn pin<R: Serialize>(report: &R, pinned: u64) -> (bool, String) {
+    let got = digest(json(report).unwrap_or_default().as_bytes());
+    let relation = if got == pinned { "==" } else { "!=" };
+    check!(
+        got == pinned,
+        "report digest {got:016x} {relation} pinned {pinned:016x}"
+    )
 }
 
 /// Runs one session `REPS` times; returns the last run's report, the best
@@ -328,9 +250,8 @@ fn smoke_trace(models: usize) -> Vec<TraceRequest> {
 }
 
 /// The offline leg: the cycle-accurate fleet replays the bursty trace
-/// through the offline wrapper.  With `--backend analytical` a second
-/// record follows — the same fleet through the calibrated analytical
-/// backend — and only that one is gated.
+/// through the offline wrapper.  With `--backend analytical` a second leg
+/// follows: the same fleet through the calibrated analytical backend.
 fn run_offline(backend: BackendKind) -> Vec<Leg> {
     let compile_start = Instant::now();
     let plans = compile_zoo();
@@ -355,10 +276,10 @@ fn run_offline(backend: BackendKind) -> Vec<Leg> {
             serve_requests: report.total_requests,
             // One-time compile cost of all plans (QAT/WDS/mapping).
             serve_compile_ms: serve_compile_ms,
-            // Best of `REPS` replays; wall clock is trajectory info only.
+            // Best of `REPS` replays; wall clock is never checked.
             serve_wall_ms: serve_wall_ms,
             serve_wall_rps: report.served_requests as f64 / (serve_wall_ms / 1e3),
-            // Requests per second of virtual chip time: the gated figure.
+            // Requests per second of virtual chip time.
             serve_virtual_rps: report.throughput_rps,
             // Latency percentiles in virtual µs at 1 GHz nominal.
             serve_p50_us: report.latency_p50_cycles as f64 / 1e3,
@@ -370,9 +291,10 @@ fn run_offline(backend: BackendKind) -> Vec<Leg> {
             serve_rejected: report.rejected_requests,
             serve_deterministic: deterministic,
         ],
-        checks: vec![check!(deterministic, "replays are byte-identical")],
-        gated: (backend == BackendKind::CycleAccurate).then_some("serve_virtual_rps"),
-        keys: &["serve_requests", "serve_chips"],
+        checks: vec![
+            check!(deterministic, "replays are byte-identical"),
+            pin(&report, 0x6dee_d832_316d_e020),
+        ],
     }];
     if backend != BackendKind::Analytical {
         return legs;
@@ -432,9 +354,8 @@ fn run_offline(backend: BackendKind) -> Vec<Leg> {
             check!(ana_deterministic, "replays are byte-identical"),
             check!(verification.within_bound, "drift is within bound"),
             check!(speedup >= 10.0, "analytical replay is >= 10x faster"),
+            pin(&ana_report, 0xaa6b_c738_bebf_8abf),
         ],
-        gated: Some("serve_ana_virtual_rps"),
-        keys: &["serve_ana_requests", "serve_ana_chips"],
     });
     legs
 }
@@ -516,11 +437,7 @@ fn run_online(backend: BackendKind) -> Leg {
             serve_online_requests: report.total_requests,
             // Best of `REPS` full submit/step/poll/drain sessions.
             serve_online_wall_ms: wall_ms,
-            // The gated figure, one field per backend (`null` on the other).
-            serve_online_virtual_rps: (backend == BackendKind::CycleAccurate)
-                .then_some(report.throughput_rps),
-            serve_online_ana_virtual_rps: (backend == BackendKind::Analytical)
-                .then_some(report.throughput_rps),
+            serve_online_virtual_rps: report.throughput_rps,
             serve_online_mean_batch: report.mean_batch_size,
             serve_online_offline_scan_mean_batch: offline_mean_batch,
             serve_online_streamed_before_drain: streamed,
@@ -539,12 +456,14 @@ fn run_online(backend: BackendKind) -> Leg {
             check!(deterministic, "replays and serve() are byte-identical"),
             check!(batch + 1e-9 >= scan, "batching dominates the offline scan"),
             check!(batch > 1.0, "the interleaved trace batches"),
+            pin(
+                &report,
+                match backend {
+                    BackendKind::CycleAccurate => 0x5702_975b_4a14_ea6d,
+                    BackendKind::Analytical => 0xa6d6_00a6_f995_c023,
+                },
+            ),
         ],
-        gated: Some(per_backend(
-            backend,
-            ["serve_online_virtual_rps", "serve_online_ana_virtual_rps"],
-        )),
-        keys: &["serve_online_requests", "serve_online_chips"],
     }
 }
 
@@ -656,7 +575,7 @@ fn run_fleet(backend: BackendKind) -> Leg {
     // an aggressive loop config.  The loop must demote the lying model —
     // and, because recalibration folds the lie into the online multiplier,
     // promote it back once adjusted predictions return within bound.  Runs
-    // outside the timed reps so it never pollutes the throughput gate.
+    // outside the timed reps, so the pinned report is the honest fleet's.
     let drill = (backend == BackendKind::Analytical).then(|| {
         let drill_config = ServeConfig {
             verify_every: 4,
@@ -707,6 +626,13 @@ fn run_fleet(backend: BackendKind) -> Leg {
             check!(drill.promotions > 0, "the drill's model healed back"),
         ]);
     }
+    checks.push(pin(
+        &report,
+        match backend {
+            BackendKind::CycleAccurate => 0xc481_b439_1e52_3346,
+            BackendKind::Analytical => 0x812b_889b_3538_dac0,
+        },
+    ));
     Leg {
         title: format!("fleet mode, {} fleet", backend.name()),
         fields: fields![
@@ -716,11 +642,8 @@ fn run_fleet(backend: BackendKind) -> Leg {
             serve_fleet_requests: report.serve.total_requests,
             // Best of `REPS` full chaos sessions.
             serve_fleet_wall_ms: wall_ms,
-            // The gated figure under faults, one field per backend.
-            serve_fleet_virtual_rps: (backend == BackendKind::CycleAccurate)
-                .then_some(report.serve.throughput_rps),
-            serve_fleet_ana_virtual_rps: (backend == BackendKind::Analytical)
-                .then_some(report.serve.throughput_rps),
+            // Virtual throughput under faults.
+            serve_fleet_virtual_rps: report.serve.throughput_rps,
             serve_fleet_chip_deaths: report.availability.chip_deaths,
             serve_fleet_degradations: report.availability.degradations,
             serve_fleet_requests_failed_over: failed_over,
@@ -748,15 +671,6 @@ fn run_fleet(backend: BackendKind) -> Leg {
             serve_recal_drill_recalibrations: drill.as_ref().map(|c| c.recalibrations),
         ],
         checks,
-        gated: Some(per_backend(
-            backend,
-            ["serve_fleet_virtual_rps", "serve_fleet_ana_virtual_rps"],
-        )),
-        keys: &[
-            "serve_fleet_requests",
-            "serve_fleet_shards",
-            "serve_fleet_chips_per_shard",
-        ],
     }
 }
 
@@ -942,11 +856,7 @@ fn run_dag(backend: BackendKind) -> Leg {
             serve_dag_stages: dag.stages_total,
             // Best of `REPS` full orchestrated chaos sessions.
             serve_dag_wall_ms: wall_ms,
-            // The gated figure, one field per backend.
-            serve_dag_virtual_rps: (backend == BackendKind::CycleAccurate)
-                .then_some(report.serve.throughput_rps),
-            serve_dag_ana_virtual_rps: (backend == BackendKind::Analytical)
-                .then_some(report.serve.throughput_rps),
+            serve_dag_virtual_rps: report.serve.throughput_rps,
             serve_dag_completed: dag.completed,
             serve_dag_failed: dag.failed,
             serve_dag_deadline_misses: dag.deadline_misses,
@@ -964,12 +874,14 @@ fn run_dag(backend: BackendKind) -> Leg {
             check!(deterministic, "replays are byte-identical"),
             check!(dag.inherited_promotions != 0, "inheritance engaged"),
             check!(tail < control, "inheritance protects the tail"),
+            pin(
+                &report,
+                match backend {
+                    BackendKind::CycleAccurate => 0xd04e_a05d_ba19_ec26,
+                    BackendKind::Analytical => 0xa6e9_de34_108a_4cbe,
+                },
+            ),
         ],
-        gated: Some(per_backend(
-            backend,
-            ["serve_dag_virtual_rps", "serve_dag_ana_virtual_rps"],
-        )),
-        keys: &["serve_dag_requests", "serve_dag_stages"],
     }
 }
 
@@ -1084,11 +996,8 @@ fn run_global(backend: BackendKind) -> Leg {
             serve_global_requests: report.summary.total_requests,
             // Best of `REPS` full multi-region chaos sessions.
             serve_global_wall_ms: wall_ms,
-            // The gated figure under region loss, one field per backend.
-            serve_global_virtual_rps: (backend == BackendKind::CycleAccurate)
-                .then_some(report.summary.throughput_rps),
-            serve_global_ana_virtual_rps: (backend == BackendKind::Analytical)
-                .then_some(report.summary.throughput_rps),
+            // Virtual throughput under region loss.
+            serve_global_virtual_rps: report.summary.throughput_rps,
             serve_global_outages: report.availability.outages,
             serve_global_recoveries: report.availability.recoveries,
             serve_global_requests_migrated: report.availability.requests_migrated,
@@ -1108,19 +1017,21 @@ fn run_global(backend: BackendKind) -> Leg {
             check!(conserved, "every request resolved exactly once"),
             check!(deterministic, "replays are byte-identical"),
             check!(migrations != 0, "the region outage migrated work"),
+            pin(
+                &report,
+                match backend {
+                    BackendKind::CycleAccurate => 0xc462_c5cf_c3b9_d53c,
+                    BackendKind::Analytical => 0xa4dc_9bbb_c9f4_0e3a,
+                },
+            ),
         ],
-        gated: Some(per_backend(
-            backend,
-            ["serve_global_virtual_rps", "serve_global_ana_virtual_rps"],
-        )),
-        keys: &["serve_global_requests", "serve_global_regions"],
     }
 }
 
 /// Hyperscale fleet shape: 64 shards of 4 analytical chips = 256 chips.
 const HYPER_SHARDS: usize = 64;
 const HYPER_CHIPS_PER_SHARD: usize = 4;
-/// Default (and CI) request count: one million.
+/// Request count: one million, the count the leg's digest is pinned at.
 const HYPER_REQUESTS: usize = 1_000_000;
 /// Peak-RSS ceiling of the hyperscale run, MiB.  The bound is a property of
 /// the *fleet shape*, not the trace length: the trace streams off the
@@ -1129,13 +1040,13 @@ const HYPER_REQUESTS: usize = 1_000_000;
 /// the request count must not move the peak.  Documented in PERF.md.
 const HYPER_RSS_CEILING_MIB: f64 = 512.0;
 
-fn hyper_traffic(requests: usize) -> TrafficConfig {
+fn hyper_traffic() -> TrafficConfig {
     // ~60 cycles mean inter-arrival over a million requests spans a
     // ~6e7-cycle virtual horizon; three diurnal waves fit inside it and
     // the fleet runs hot enough (crest rate 1.6x) that queues build and
     // chip deaths catch in-flight work.
     TrafficConfig {
-        requests,
+        requests: HYPER_REQUESTS,
         models: 4,
         mean_interarrival_cycles: 60.0,
         burst_repeat_prob: 0.35,
@@ -1240,9 +1151,9 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-fn run_hyperscale(requests: usize) -> Leg {
+fn run_hyperscale() -> Leg {
     let plans = compile_zoo();
-    let traffic = hyper_traffic(requests);
+    let traffic = hyper_traffic();
     // A small completion cap keeps the streamed-outcome buffer bounded
     // between polls; the drained report still accounts every request.
     // Sparse in-band verification (every 512th group, per-shard) feeds the
@@ -1278,10 +1189,10 @@ fn run_hyperscale(requests: usize) -> Leg {
 
     // served + rejected == submitted, and streamed + dropped + retained
     // covers every outcome.
-    let conserved = report.serve.total_requests == requests
+    let conserved = report.serve.total_requests == HYPER_REQUESTS
         && report.serve.served_requests + report.serve.rejected_requests
             == report.serve.total_requests
-        && streamed as u64 + dropped == requests as u64;
+        && streamed as u64 + dropped == HYPER_REQUESTS as u64;
     let peak_rss = peak_rss_mib();
     let rss_ok = !peak_rss.is_some_and(|mib| mib > HYPER_RSS_CEILING_MIB);
     let loop_stats = report.serve.calibration.as_ref();
@@ -1320,26 +1231,30 @@ fn run_hyperscale(requests: usize) -> Leg {
             check!(deterministic, "parallel == sequential report bytes"),
             check!(rss_ok, "peak RSS under {HYPER_RSS_CEILING_MIB} MiB"),
             check!(demotions.is_none_or(|d| d == 0), "no spurious demotion"),
+            pin(&report, 0x0763_08e9_761a_6638),
         ],
-        gated: Some("serve_hyper_virtual_rps"),
-        keys: &["serve_hyper_requests", "serve_hyper_chips"],
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    let options = Options {
-        label: value_of("--label").unwrap_or("run").to_string(),
-        check_regression: args.iter().any(|a| a == "--check-regression"),
-        bench_out: bench_out_arg(&args),
-    };
-    let backend = match value_of("--backend") {
+    let (mut backend, mut mode) = (None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--backend" => &mut backend,
+            "--mode" => &mut mode,
+            _ => {
+                eprintln!("error: unknown argument {flag} (use --backend, --mode)");
+                return ExitCode::FAILURE;
+            }
+        };
+        let Some(value) = args.next() else {
+            eprintln!("error: {flag} needs a value");
+            return ExitCode::FAILURE;
+        };
+        *slot = Some(value);
+    }
+    let backend = match backend.as_deref() {
         None | Some("cycle-accurate") => BackendKind::CycleAccurate,
         Some("analytical") => BackendKind::Analytical,
         Some(other) => {
@@ -1347,18 +1262,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let legs = match value_of("--mode") {
+    let legs = match mode.as_deref() {
         None | Some("offline") => run_offline(backend),
         Some("online") => vec![run_online(backend)],
         Some("fleet") => vec![run_fleet(backend)],
         Some("dag") => vec![run_dag(backend)],
         Some("global") => vec![run_global(backend)],
-        Some("hyperscale") => {
-            let requests = value_of("--requests")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(HYPER_REQUESTS);
-            vec![run_hyperscale(requests)]
-        }
+        Some("hyperscale") => vec![run_hyperscale()],
         Some(other) => {
             eprintln!(
                 "error: unknown --mode {other} (use offline|online|fleet|dag|global|hyperscale)"
@@ -1367,9 +1277,26 @@ fn main() -> ExitCode {
         }
     };
     // Legs finish in order; a failing leg stops the ones after it.
-    if legs.into_iter().all(|leg| finish(leg, &options)) {
+    if legs.into_iter().all(finish) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::digest;
+
+    #[test]
+    fn digest_is_fnv1a_and_detects_a_single_changed_byte() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_ne!(
+            digest(br#"{"served":1000,"p99":42}"#),
+            digest(br#"{"served":1000,"p99":43}"#)
+        );
     }
 }
