@@ -414,7 +414,8 @@ pub struct GlobalAvailability {
     pub requests_shed: usize,
     /// Shed requests per class, ascending priority order.
     pub shed_by_class: [usize; 3],
-    /// Region-cycles spent Down, summed over regions.
+    /// Region-cycles spent Down, summed over regions; the sum saturates at
+    /// `u64::MAX`.
     pub region_cycles_lost: u64,
     /// `region_cycles_lost` in seconds, each region at its own nominal
     /// frequency (regions are heterogeneous).
@@ -755,7 +756,7 @@ impl<'rt> GlobalRouter<'rt> {
                 }
             }
             let [healthy_cycles, suspect_cycles, down_cycles, recovering_cycles] = state_cycles;
-            region_cycles_lost += down_cycles;
+            region_cycles_lost = region_cycles_lost.saturating_add(down_cycles);
             region_seconds_lost += down_cycles as f64 / (state.nominal_ghz * 1e9);
             regions.push(RegionReport {
                 name: state.name.clone(),

@@ -41,8 +41,11 @@
 //! 3. **Deterministic dispatch** — groups pick chips (round-robin or
 //!    least-loaded) on the shared pre-execution [`scheduler::CostModel`];
 //!    scheduling never reads measured execution, which is what lets chip
-//!    workers fan out on rayon scoped threads while reports stay
-//!    byte-identical.  Fleets choose their execution backend
+//!    lanes fan out on the rayon pool while reports stay byte-identical.
+//!    A step fans out only when two of its ready lanes will replay
+//!    cycle-accurately (audit lanes, verification samples, demoted
+//!    models); analytical lookups run inline.  Fleets choose their
+//!    execution backend
 //!    ([`runtime::ServeConfig::backend`]): cycle-accurate chips run the
 //!    per-cycle engine through reusable [`pim_sim::chip::SimSession`]s,
 //!    analytical chips hand out their plan's calibrated closed-form

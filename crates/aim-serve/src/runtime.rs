@@ -62,9 +62,11 @@ pub struct ServeConfig {
     ///
     /// [`ServeReport::calibration`]: crate::report::ServeReport::calibration
     pub calibration: Option<CalibrationLoopConfig>,
-    /// Fan chip workers out across rayon scoped threads.  `false` runs the
-    /// fleet on the calling thread; the report is byte-identical either way
-    /// (the determinism contract).
+    /// Fan chip lanes out across the rayon pool.  A step fans out only when
+    /// at least two of its ready lanes will replay cycle-accurately (audit
+    /// lanes, verification samples and demoted models); analytical lookups
+    /// always run inline.  `false` runs the fleet on the calling thread;
+    /// the report is byte-identical either way (the determinism contract).
     pub parallel: bool,
     /// Serve seed, folded into every request replay's input activity.
     pub seed: u64,

@@ -1376,14 +1376,16 @@ impl<'rt> ServeSession<'rt> {
     }
 
     /// Executes every queued slot whose estimated start is at or before
-    /// `horizon`, stepping the lanes in place and fanning the ones with
-    /// ready work out across worker threads when configured, and harvests
-    /// the retired groups' completions in commit order.
+    /// `horizon`, stepping the lanes in place, and harvests the retired
+    /// groups' completions in commit order.  When configured, the lanes
+    /// with ready work fan out across the rayon pool if at least two of
+    /// them will replay cycle-accurately; otherwise they run inline.
     fn execute_ready(&mut self, horizon: u64) {
         let ready = |lane: &ChipLane| lane.slots.front().is_some_and(|s| s.est_start <= horizon);
         let runtime = self.runtime;
+        let config = runtime.config();
         let reload = &self.cost.reload_cycles;
-        let seed = runtime.config().seed;
+        let seed = config.seed;
         // Only `absorb_resolved`, after every lane has run, writes the loop
         // state: every chip prices this window's slots under the same
         // `(adjust, demoted)` pair, so the results cannot depend on worker
@@ -1392,11 +1394,11 @@ impl<'rt> ServeSession<'rt> {
         let cal = &self.cal;
         let loop_on = !cal.is_empty();
         let replays = &*self.replays;
+        let model_cal = |model: usize| {
+            cal.get(model)
+                .map_or((1.0, false), |s| (s.adjust, s.row.demoted))
+        };
         let run = |lane: &mut ChipLane, results: &mut Vec<ExecDone>| {
-            let model_cal = |model: usize| {
-                cal.get(model)
-                    .map_or((1.0, false), |s| (s.adjust, s.row.demoted))
-            };
             let predicted_cycles = |model: usize| {
                 runtime
                     .analytical_plans()
@@ -1480,8 +1482,34 @@ impl<'rt> ServeSession<'rt> {
                 lane.retire_front();
             }
         };
+        let replays_accurately = |lane: &ChipLane| {
+            lane.backend == BackendKind::CycleAccurate
+                || lane
+                    .slots
+                    .iter()
+                    .take_while(|slot| slot.est_start <= horizon)
+                    .any(|slot| slot.verify || model_cal(slot.model).1)
+        };
         let ready_lanes = self.lanes.iter().filter(|lane| ready(lane)).count();
-        if ready_lanes > 1 && runtime.config().parallel {
+        // Only a cycle-accurate replay costs more than waking a worker; an
+        // analytical step is a lookup of tens of nanoseconds, so a step
+        // fans out only when two of its ready lanes will replay: an audit
+        // lane, or a lane whose ready slots hold a verification sample or
+        // a demoted model.  A session that can have none of these skips
+        // the scan, and `parallel: false` evaluates none of it.
+        let fan_out = ready_lanes > 1
+            && config.parallel
+            && (config.backend == BackendKind::CycleAccurate
+                || config.audit_chips > 0
+                || config.verify_every > 0
+                || loop_on)
+            && self
+                .lanes
+                .iter()
+                .filter(|lane| ready(lane) && replays_accurately(lane))
+                .nth(1)
+                .is_some();
+        if fan_out {
             let lanes: Vec<&mut ChipLane> =
                 self.lanes.iter_mut().filter(|lane| ready(lane)).collect();
             let fanned: Vec<Vec<ExecDone>> = lanes

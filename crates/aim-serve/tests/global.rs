@@ -565,6 +565,44 @@ fn a_recovery_applies_before_the_retry_of_its_cycle() {
     assert_eq!(report.summary.served_requests, 1);
 }
 
+/// The regions' Down cycles sum saturating: two regions dark from cycles 1
+/// and 2 until a request near `u64::MAX` lose more cycles than a `u64`
+/// holds.
+#[test]
+fn region_cycles_lost_saturates_at_u64_max() {
+    let layout = vec![vec![0, 1], vec![0, 1]];
+    let runtimes = runtimes_for(&layout, matrix_backend(), 0x5A7);
+    let plan = RegionFaultPlan::new(vec![
+        RegionFaultEvent {
+            at_cycles: 1,
+            kind: RegionFaultKind::RegionOutage { region: 0 },
+        },
+        RegionFaultEvent {
+            at_cycles: 2,
+            kind: RegionFaultKind::RegionOutage { region: 1 },
+        },
+    ]);
+    let request = TraceRequest {
+        model: 0,
+        arrival_cycles: u64::MAX - 5,
+        deadline_cycles: u64::MAX,
+        slo: SloClass::Standard,
+    };
+    let report = GlobalRouter::serve_trace(
+        specs_for(&layout, &runtimes, 1),
+        MODELS,
+        GlobalConfig::default(),
+        plan,
+        &[request],
+    );
+    assert_eq!(report.availability.region_cycles_lost, u64::MAX);
+    assert!(report
+        .regions
+        .iter()
+        .all(|region| region.final_health == RegionHealth::Down));
+    assert_eq!(report.summary.shed_requests, 1);
+}
+
 #[test]
 fn placement_layouts_round_robin_and_count_replicas() {
     let layout = place_models(3, 2, 2);
