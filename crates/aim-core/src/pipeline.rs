@@ -315,9 +315,10 @@ pub struct PlannedBatch {
 /// the cycle-loop scratch is reused through one [`SimSession`] per chip
 /// worker, so the simulation loop itself stays allocation-free.  A
 /// simulator carries no flip bank until it first runs cycle-accurately:
-/// it then fetches its seed's bank from its batch template's cache, so
-/// analytical predictions (calibration's non-probe batches included) never
-/// build one.
+/// it then fetches its seed's bank from its batch template's cache, and the
+/// bank samples only the 16-row chunks the run reads.  Analytical
+/// predictions (calibration's non-probe batches included) never touch
+/// one.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     model: String,
@@ -462,8 +463,9 @@ impl CompiledPlan {
     /// no flip bank.  Its first cycle-accurate run fetches the seed's bank
     /// from the template's bounded cache, so repeated replays of the same
     /// plan (calibration probes, audit chips, offset-0 serve paths) pay no
-    /// reconstruction beyond an `Arc` clone, and a simulator only ever
-    /// predicted analytically pays for no bank at all.
+    /// reconstruction beyond an `Arc` clone, a fresh seed's bank samples
+    /// only the rows its runs read, and a simulator only ever predicted
+    /// analytically pays for no bank at all.
     pub(crate) fn batch_simulator(&self, batch_idx: usize, seed_offset: u64) -> ChipSimulator {
         self.batches[batch_idx].template.with_seed(
             self.chip_config

@@ -5,7 +5,7 @@
 //! sharded sessions) before freezing a [`ServeReport`].
 //!
 //! The accumulator is **bounded**: latency distributions live in a
-//! fixed-size [`LatencySketch`] and the electrical/verification folds keep
+//! bounded [`LatencySketch`] and the electrical/verification folds keep
 //! integer running aggregates, so absorbing ten requests and absorbing ten
 //! million cost the same memory.  All aggregate state is associative and
 //! order-free (integer sums, maxima, element-wise bucket adds), which is
@@ -252,7 +252,8 @@ const SKETCH_SUB_BUCKETS: usize = 1 << SKETCH_SUB_BITS;
 /// `63 - SKETCH_SUB_BITS = 58`, so 59 octaves of 32 buckets follow the 32
 /// exact linear buckets.
 const SKETCH_OCTAVES: usize = 64 - SKETCH_SUB_BITS as usize;
-/// Total bucket count: 32 linear + 59 × 32 log buckets = 1920.
+/// Bucket count up to `u64::MAX`: 32 linear + 59 × 32 log buckets = 1920,
+/// the most a sketch's count array can hold.
 const SKETCH_BUCKETS: usize = SKETCH_SUB_BUCKETS * (1 + SKETCH_OCTAVES);
 
 /// A deterministic fixed-bucket quantile sketch for `u64` latency samples.
@@ -261,16 +262,21 @@ const SKETCH_BUCKETS: usize = SKETCH_SUB_BUCKETS * (1 + SKETCH_OCTAVES);
 /// two rows of buckets have width 1); above that, each octave `[2^k,
 /// 2^(k+1))` splits into 32 equal-width buckets, so a quantile read
 /// over-estimates the exact nearest-rank value by less than `1/32` of it.
-/// Memory is a flat `1920 × u64` count array (~15 KiB) regardless of how
-/// many samples are recorded — the point of the sketch.
+/// The count array ends at the highest occupied bucket (it is empty when
+/// nothing was recorded), so memory grows with the largest latency, never
+/// with the number of samples: at most 1920 `u64` counters (15 KiB), for
+/// a sample of `u64::MAX`.  Recording allocates only when a sample lands in
+/// a bucket above every earlier one.
 ///
 /// Quantile reads report the **upper bound** of the selected bucket,
 /// clamped to the exact tracked maximum: `exact ≤ sketch ≤ exact * 33/32`,
 /// and `percentile(q)` never exceeds [`Self::max`].
 ///
-/// [`Self::merge`] adds count arrays element-wise and takes the larger
-/// maximum, making it associative *and* commutative — shards combine into
-/// byte-identical sketches in any order or grouping.
+/// [`Self::merge`] adds count arrays element-wise (the shorter one padded
+/// with zeros) and takes the larger maximum, making it associative *and*
+/// commutative — shards combine into byte-identical sketches in any order
+/// or grouping, since the array ending at the highest occupied bucket is
+/// the one representation of a set of counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySketch {
     count: u64,
@@ -295,7 +301,7 @@ impl LatencySketch {
         Self {
             count: 0,
             max: 0,
-            counts: vec![0; SKETCH_BUCKETS],
+            counts: Vec::new(),
         }
     }
 
@@ -320,9 +326,26 @@ impl LatencySketch {
         ((SKETCH_SUB_BUCKETS as u64 + sub) << octave) + ((1u64 << octave) - 1)
     }
 
+    /// Extends the count array with empty buckets to `len`, reserving up
+    /// to the end of `len`'s octave: a sketch reallocates at most once per
+    /// octave its samples reach and holds fewer than 32 unused counters.
+    /// (`Vec`'s amortised doubling could hold twice the buckets in use,
+    /// past the 1920 of a full array; growing bucket by bucket would
+    /// reallocate on every new highest bucket.)
+    fn cover(&mut self, len: usize) {
+        debug_assert!(len <= SKETCH_BUCKETS);
+        if len > self.counts.len() {
+            let octave_end = len.next_multiple_of(SKETCH_SUB_BUCKETS);
+            self.counts.reserve_exact(octave_end - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        let index = Self::bucket_index(value);
+        self.cover(index + 1);
+        self.counts[index] += 1;
         self.count += 1;
         self.max = self.max.max(value);
     }
@@ -370,6 +393,7 @@ impl LatencySketch {
     pub fn merge(&mut self, other: &Self) {
         self.count += other.count;
         self.max = self.max.max(other.max);
+        self.cover(other.counts.len());
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }

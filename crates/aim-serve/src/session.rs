@@ -99,7 +99,7 @@
 //! traffic absorbed.  Request state lives inside its open batch and then
 //! its group record; executed chip-queue slots are popped as they retire,
 //! and resolved group records are absorbed into the session's
-//! [`ReportAccumulator`] — itself fixed-size — **in commit order** and
+//! [`ReportAccumulator`] — itself bounded — **in commit order** and
 //! dropped.  (The strict commit-order absorption is what keeps the report
 //! byte-identical no matter when groups happened to retire.)  The only
 //! per-request state that can outlive its group is the unpolled

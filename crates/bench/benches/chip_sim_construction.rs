@@ -2,15 +2,18 @@
 //! cost.  The serve hot path replays compiled plans thousands of times, and
 //! before the compile-once template split every replay paid a full
 //! `ChipSimulator::new` (set derivation + 64 Box–Muller flip sequences).
-//! A simulator fetches its flip bank on its first cycle-accurate cycle, so
-//! each iteration runs that one cycle.  These benches pin the three
-//! construction paths against each other:
+//! A simulator fetches its flip bank on its first cycle-accurate cycle, and
+//! that cycle samples only the bank's first 16-row chunk, so each iteration
+//! runs that one cycle and measures construction up to the first chunk.
+//! These benches pin the three construction paths against each other:
 //!
 //! * `chip_sim_construct_fresh` — the legacy path: full `ChipSimulator::new`
-//!   per replay (template + bank built from scratch every time).
+//!   per replay (template + the bank's first chunk built from scratch every
+//!   time).
 //! * `chip_sim_construct_with_seed` — a prebuilt [`ChipTemplate`]
-//!   instantiated at a *new* seed each iteration (topology shared, flip
-//!   bank regenerated: the cache-miss cost of a serve replay).
+//!   instantiated at a *new* seed each iteration (topology shared, the
+//!   bank's first chunk sampled anew: the cache-miss cost of a serve
+//!   replay's first cycle).
 //! * `chip_sim_construct_cached` — the same template at a *repeated* seed
 //!   (the cache-hit cost: what calibration probes and offset-0 replays pay).
 
@@ -36,7 +39,8 @@ fn bench_config() -> ChipConfig {
     }
 }
 
-/// Runs the first cycle of `sim`, which builds or fetches its flip bank.
+/// Runs the first cycle of `sim`, which fetches its flip bank (creating it
+/// on a cache miss) and reads the bank's first chunk.
 fn first_cycle(sim: &ChipSimulator) -> u64 {
     let mut ctrl = StaticController::nominal(&sim.config().params);
     sim.run(&mut ctrl, 1).total_cycles

@@ -66,8 +66,9 @@ fn main() -> ExitCode {
     // Construction split: legacy fresh path vs template reuse vs cache hit.
     // Seeds advance on the fresh/with-seed paths so no run benefits from the
     // bank cache; the cached path deliberately repeats one seed.  A
-    // simulator fetches its flip bank on its first cycle-accurate cycle, so
-    // every sample runs that one cycle.
+    // simulator fetches its flip bank on its first cycle-accurate cycle,
+    // which samples only the bank's first 16-row chunk, so every sample runs
+    // that one cycle and measures construction up to the first chunk.
     let construct_config = ChipConfig {
         flip_sequence_len: 512,
         ..ChipConfig::default()
@@ -77,7 +78,8 @@ fn main() -> ExitCode {
         sim.run(&mut ctrl, 1).total_cycles
     };
     let mut seed = 1u64;
-    // `ChipSimulator::new`: template + 64 × 512-sample flip bank.
+    // `ChipSimulator::new`: template + the first 16-row chunk of a
+    // 64 × 512-row flip bank.
     let (construct_fresh_ms, _) = best_of(CONSTRUCT_REPS, || {
         seed = seed.wrapping_add(1);
         first_cycle(ChipSimulator::new(
@@ -88,8 +90,9 @@ fn main() -> ExitCode {
             bench_tasks(),
         ))
     });
-    // `ChipTemplate::with_seed` at an unseen seed: shared topology, bank
-    // regenerated (the serve replay cache-miss cost).
+    // `ChipTemplate::with_seed` at an unseen seed: shared topology, the
+    // bank's first chunk sampled anew (the serve replay cache-miss cost of
+    // a first cycle).
     let template = ChipTemplate::new(construct_config.clone(), bench_tasks());
     let (construct_with_seed_ms, _) = best_of(CONSTRUCT_REPS, || {
         seed = seed.wrapping_add(1);

@@ -363,17 +363,18 @@ const FLIP_BANK_CACHE_CAP: usize = 16;
 ///
 /// Construction cost splits as: set derivation + electrical models (paid
 /// once, here) and the `macros × flip_sequence_len` Box–Muller flip bank
-/// (paid per *distinct* seed, and only once a simulator of that seed runs
-/// cycle-accurately, behind a bounded cache shared across clones).  A
-/// serving runtime replaying one plan thousands of times therefore stops
-/// paying construction on its audit/verification path entirely, analytical
-/// predictions never build a bank, and every instantiation stays
+/// (paid per *distinct* seed, behind a bounded cache shared across clones,
+/// and only for the rows cycle-accurate runs at that seed read: a bank
+/// samples its rows 16 at a time on first read).  A serving runtime
+/// replaying one plan thousands of times therefore stops paying
+/// construction on its audit/verification path entirely, analytical
+/// predictions never touch a bank, and every instantiation stays
 /// bit-identical to a from-scratch [`ChipSimulator::new`].
 #[derive(Debug, Clone)]
 pub struct ChipTemplate {
     config: ChipConfig,
     topology: Arc<ChipTopology>,
-    /// Bounded LRU of generated flip banks, shared across template clones
+    /// Bounded LRU of flip banks, shared across template clones
     /// and the simulators they stamp (a cloned plan keeps hitting the same
     /// cache).
     bank_cache: BankCache,
@@ -446,10 +447,9 @@ impl ChipTemplate {
 }
 
 /// The flip bank of `config` (its seed, length and distribution): cached
-/// if seen before, generated (and cached, evicting the least recently used
-/// entry past the bound) otherwise.  Generation runs outside the lock; a
-/// concurrent miss on the same key generates an identical bank, so
-/// whichever insert lands first wins without affecting any result byte.
+/// if seen before, created (and cached, evicting the least recently used
+/// entry past the bound) otherwise.  A new bank samples no rows, so it is
+/// created under the lock; its rows fill on first read, outside it.
 fn cached_flip_bank(cache: &BankCache, config: &ChipConfig) -> Arc<FlipBank> {
     let key: BankKey = (
         config.seed,
@@ -457,30 +457,25 @@ fn cached_flip_bank(cache: &BankCache, config: &ChipConfig) -> Arc<FlipBank> {
         config.flip_mean.to_bits(),
         config.flip_std.to_bits(),
     );
-    {
-        let mut cache = cache.lock().expect("flip-bank cache poisoned");
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            let entry = cache.remove(pos);
-            let bank = Arc::clone(&entry.1);
-            cache.push(entry);
-            return bank;
-        }
-    }
-    let bank = Arc::new(FlipBank::normal(
-        config.params.total_macros(),
-        config.flip_sequence_len,
-        config.flip_mean,
-        config.flip_std,
-        config.seed,
-    ));
     let mut cache = cache.lock().expect("flip-bank cache poisoned");
-    if let Some((_, cached)) = cache.iter().find(|(k, _)| *k == key) {
-        return Arc::clone(cached);
-    }
-    if cache.len() >= FLIP_BANK_CACHE_CAP {
-        cache.remove(0);
-    }
-    cache.push((key, Arc::clone(&bank)));
+    let entry = match cache.iter().position(|(k, _)| *k == key) {
+        Some(pos) => cache.remove(pos),
+        None => {
+            if cache.len() >= FLIP_BANK_CACHE_CAP {
+                cache.remove(0);
+            }
+            let bank = FlipBank::normal(
+                config.params.total_macros(),
+                config.flip_sequence_len,
+                config.flip_mean,
+                config.flip_std,
+                config.seed,
+            );
+            (key, Arc::new(bank))
+        }
+    };
+    let bank = Arc::clone(&entry.1);
+    cache.push(entry);
     bank
 }
 
@@ -729,7 +724,7 @@ impl ChipSimulator {
     }
 
     /// This seed's flip bank, fetched from the template's cache (and
-    /// generated there on a miss) on the first call.
+    /// created there on a miss) on the first call.
     pub(crate) fn flip_bank(&self) -> &FlipBank {
         self.flip_bank
             .get_or_init(|| cached_flip_bank(&self.bank_cache, &self.config))

@@ -14,6 +14,8 @@
 //!   HR-aware task mapper (the paper samples a 100-step flip sequence from a
 //!   normal distribution).
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -115,44 +117,59 @@ impl InputStream {
     }
 }
 
+/// Rows per lazily built [`FlipBank`] chunk.
+const CHUNK_ROWS: usize = 16;
+
+/// ChaCha words one Box–Muller row draw consumes: two `f64` draws of one
+/// `next_u64` (two 32-bit words) each.  A chunk starting at row `r0`
+/// therefore starts at word `WORDS_PER_ROW · r0` of every macro's stream;
+/// with 16 rows per chunk that is always the first word of a 16-word ChaCha
+/// block.
+const WORDS_PER_ROW: u128 = 4;
+
 /// A struct-of-arrays flip bank: every macro's statistical flip sequence for
 /// one chip, stored cycle-major so the per-cycle hot loop reads one
 /// contiguous stride-1 row instead of chasing `macros` separate `Vec<f64>`s.
 ///
 /// Macro `m`'s row is `len` Box–Muller draws over a `ChaCha8Rng` seeded
-/// with `seed + m * 7919`, clamped to `[0, 1]`: the bank is generated macro
-/// by macro in the draw order of the per-macro sequences it replaced, only
-/// the storage is transposed (`tests/template_equivalence.rs` keeps that
-/// per-macro loop as its reference).
-#[derive(Debug, Clone, PartialEq)]
+/// with `seed + m * 7919`, clamped to `[0, 1]`, in the draw order of the
+/// per-macro sequences it replaced (`tests/template_equivalence.rs` keeps
+/// that per-macro loop as its reference).
+///
+/// The bank is built lazily, in chunks of 16 rows: [`Self::row`] fills the
+/// chunk holding its row on that chunk's first read, drawing each macro's
+/// rows from its stream moved straight to the chunk's first word, and reads
+/// stay lock-free afterwards.  A run therefore pays only for the rows it
+/// reads (an ideal batch run reads a few hundred of 512), and every row
+/// holds the same bits whatever order the chunks are filled in.
+#[derive(Debug, Clone)]
 pub struct FlipBank {
     macros: usize,
     len: usize,
-    /// `fractions[cycle * macros + m]`, `cycle` reduced modulo `len`.
-    fractions: Vec<f64>,
+    mean: f64,
+    std: f64,
+    base_seed: u64,
+    /// Chunk `c` holds rows `16c ..` (16 of them, fewer in the last chunk),
+    /// cycle-major: `chunk[(r - 16c) * macros + m]`.  Empty until read.
+    chunks: Box<[OnceLock<Box<[f64]>>]>,
 }
 
 impl FlipBank {
-    /// Samples a `macros × len` bank of flip fractions.  Macro `m`'s row is
-    /// drawn from seed `base_seed + m * 7919` (wrapping), matching the
-    /// per-macro seed derivation of the chip simulator.
+    /// A `macros × len` bank of flip fractions, sampled on first read.
+    /// Macro `m`'s row is drawn from seed `base_seed + m * 7919`
+    /// (wrapping), matching the per-macro seed derivation of the chip
+    /// simulator.  Allocates no rows.
     #[must_use]
     pub fn normal(macros: usize, len: usize, mean: f64, std: f64, base_seed: u64) -> Self {
-        let mut fractions = vec![0.0f64; macros * len];
-        for m in 0..macros {
-            let mut rng = ChaCha8Rng::seed_from_u64(base_seed.wrapping_add(m as u64 * 7919));
-            for cycle in 0..len {
-                // Box–Muller.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                fractions[cycle * macros + m] = (mean + std * z).clamp(0.0, 1.0);
-            }
-        }
         Self {
             macros,
             len,
-            fractions,
+            mean,
+            std,
+            base_seed,
+            chunks: (0..len.div_ceil(CHUNK_ROWS))
+                .map(|_| OnceLock::new())
+                .collect(),
         }
     }
 
@@ -175,7 +192,8 @@ impl FlipBank {
     }
 
     /// The contiguous per-macro row for `cycle`, wrapping at [`Self::len`]:
-    /// `row(cycle)[m]` is macro `m`'s flip fraction.
+    /// `row(cycle)[m]` is macro `m`'s flip fraction.  The first read of a
+    /// chunk samples it; concurrent first reads wait for one sampling.
     ///
     /// # Panics
     ///
@@ -185,7 +203,9 @@ impl FlipBank {
     pub fn row(&self, cycle: u64) -> &[f64] {
         assert!(!self.is_empty(), "flip bank is empty");
         let r = (cycle % self.len as u64) as usize;
-        &self.fractions[r * self.macros..(r + 1) * self.macros]
+        let chunk = self.chunks[r / CHUNK_ROWS].get_or_init(|| self.sample_chunk(r / CHUNK_ROWS));
+        let local = r % CHUNK_ROWS;
+        &chunk[local * self.macros..(local + 1) * self.macros]
     }
 
     /// Flip fraction of macro `m` at `cycle`.
@@ -198,6 +218,26 @@ impl FlipBank {
     pub fn at(&self, m: usize, cycle: u64) -> f64 {
         assert!(m < self.macros, "macro {m} out of range");
         self.row(cycle)[m]
+    }
+
+    /// Samples chunk `c`: each macro's stream is seeded as for the whole
+    /// sequence, moved to the chunk's first row, and drawn row by row.
+    fn sample_chunk(&self, c: usize) -> Box<[f64]> {
+        let r0 = c * CHUNK_ROWS;
+        let rows = CHUNK_ROWS.min(self.len - r0);
+        let mut fractions = vec![0.0f64; rows * self.macros].into_boxed_slice();
+        for m in 0..self.macros {
+            let mut rng = ChaCha8Rng::seed_from_u64(self.base_seed.wrapping_add(m as u64 * 7919));
+            rng.set_word_pos(WORDS_PER_ROW * r0 as u128);
+            for row in 0..rows {
+                // Box–Muller.
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                fractions[row * self.macros + m] = (self.mean + self.std * z).clamp(0.0, 1.0);
+            }
+        }
+        fractions
     }
 }
 
@@ -257,6 +297,19 @@ mod tests {
         assert_eq!(bank.row(2), bank.row(5));
         assert_eq!(bank.row(1).len(), 4);
         assert_eq!(bank.at(2, 4), bank.row(1)[2]);
+    }
+
+    #[test]
+    fn reading_a_prefix_fills_only_its_chunks() {
+        let bank = FlipBank::normal(64, 512, 0.5, 0.15, 3);
+        let filled = |bank: &FlipBank| bank.chunks.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(bank.chunks.len(), 32);
+        assert_eq!(filled(&bank), 0, "a new bank sampled rows");
+        for cycle in 0..200 {
+            let _ = bank.row(cycle);
+        }
+        // Rows 0..200 lie in chunks 0..=12.
+        assert_eq!(filled(&bank), 13);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! macro with one flat SoA [`FlipBank`].  These tests pin the contract that
 //! made that refactor admissible: for random `(ChipConfig, mapping)` pairs,
 //! every construction path yields the same `RunReport` *bytes* under both
-//! execution backends, and the SoA bank reproduces the per-macro sequences
-//! of [`legacy_sequence`] bit-for-bit.
+//! execution backends, and the SoA bank, which samples its rows in 16-row
+//! chunks on first read, reproduces the per-macro sequences of
+//! [`legacy_sequence`] bit-for-bit whatever order the chunks are read in.
 
 use rand::Rng;
 use rand::RngCore;
@@ -139,28 +140,99 @@ fn legacy_sequence(len: usize, mean: f64, std: f64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Orders in which a test reads cycles `0..2·len` of a fresh bank, each
+/// filling the bank's 16-row chunks in a different sequence.
+#[derive(Debug, Clone, Copy)]
+enum ReadOrder {
+    Sequential,
+    Reversed,
+    /// The last chunk's rows, then every cycle in order.
+    LastChunkFirst,
+    /// Every 7th cycle from 0, then from 1, and so on.
+    Strided,
+}
+
+impl ReadOrder {
+    const ALL: [Self; 4] = [
+        Self::Sequential,
+        Self::Reversed,
+        Self::LastChunkFirst,
+        Self::Strided,
+    ];
+
+    fn cycles(self, len: usize) -> Vec<u64> {
+        let end = 2 * len as u64;
+        match self {
+            Self::Sequential => (0..end).collect(),
+            Self::Reversed => (0..end).rev().collect(),
+            Self::LastChunkFirst => {
+                let last_chunk = (len as u64 - 1) / 16 * 16;
+                (last_chunk..len as u64).chain(0..end).collect()
+            }
+            Self::Strided => (0..7).flat_map(|from| (from..end).step_by(7)).collect(),
+        }
+    }
+}
+
 /// The SoA flip bank must reproduce the legacy per-macro sequences
-/// bit-for-bit, wrapping included, for random distribution parameters.
+/// bit-for-bit, wrapping included, for random distribution parameters and
+/// whatever order its chunks are first read in.
 #[test]
 fn flip_bank_matches_legacy_sequences_for_random_params() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF11B_BA2C);
-    for _ in 0..12 {
+    let edge_lens = [1usize, 15, 16, 17, 300];
+    let random_lens: Vec<usize> = (0..7).map(|_| rng.gen_range(1..300)).collect();
+    for len in edge_lens.into_iter().chain(random_lens) {
         let macros = rng.gen_range(1..96);
-        let len = rng.gen_range(1..300);
         let mean = rng.gen_range(0.0..1.0);
         let std = rng.gen_range(0.0..0.4);
         let base_seed: u64 = rng.next_u64();
 
-        let bank = FlipBank::normal(macros, len, mean, std, base_seed);
-        for m in 0..macros {
-            let legacy = legacy_sequence(len, mean, std, base_seed.wrapping_add(m as u64 * 7919));
-            for cycle in 0..(len as u64 * 2) {
-                assert_eq!(
-                    bank.at(m, cycle).to_bits(),
-                    legacy[(cycle % len as u64) as usize].to_bits(),
-                    "macro {m} cycle {cycle} diverged from legacy sequence",
-                );
+        let legacy: Vec<Vec<f64>> = (0..macros)
+            .map(|m| legacy_sequence(len, mean, std, base_seed.wrapping_add(m as u64 * 7919)))
+            .collect();
+        for order in ReadOrder::ALL {
+            let bank = FlipBank::normal(macros, len, mean, std, base_seed);
+            for cycle in order.cycles(len) {
+                for (m, sequence) in legacy.iter().enumerate() {
+                    assert_eq!(
+                        bank.at(m, cycle).to_bits(),
+                        sequence[(cycle % len as u64) as usize].to_bits(),
+                        "len {len} {order:?}: macro {m} cycle {cycle} diverged from \
+                         legacy sequence",
+                    );
+                }
             }
         }
     }
+}
+
+/// Two threads first-reading a fresh bank's chunks in opposite orders
+/// both see the legacy sequences bit-for-bit.
+#[test]
+fn concurrent_first_reads_match_legacy_sequences() {
+    let (macros, len, mean, std, base_seed) = (64, 300, 0.45, 0.2, 0x5EED_F11B);
+    let legacy: Vec<Vec<f64>> = (0..macros)
+        .map(|m| legacy_sequence(len, mean, std, base_seed + m as u64 * 7919))
+        .collect();
+    let bank = FlipBank::normal(macros, len, mean, std, base_seed);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for order in [ReadOrder::Sequential, ReadOrder::Reversed] {
+            let (bank, legacy, start) = (&bank, &legacy, &start);
+            scope.spawn(move || {
+                start.wait();
+                for cycle in order.cycles(len) {
+                    let row = bank.row(cycle);
+                    for (m, sequence) in legacy.iter().enumerate() {
+                        assert_eq!(
+                            row[m].to_bits(),
+                            sequence[(cycle % len as u64) as usize].to_bits(),
+                            "{order:?}: macro {m} cycle {cycle} diverged from legacy sequence",
+                        );
+                    }
+                }
+            });
+        }
+    });
 }

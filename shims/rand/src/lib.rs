@@ -5,8 +5,10 @@
 //! inclusive integer/float ranges, [`Rng::gen_bool`], and
 //! [`seq::SliceRandom::shuffle`].  The statistical properties (uniformity,
 //! independence across derived streams) match the real crate; the exact bit
-//! streams do not, which is fine because every consumer seeds its own
-//! deterministic stream and asserts distributional — not bitwise — facts.
+//! streams do not.  Those bits are frozen all the same: every consumer seeds
+//! its own deterministic stream, and the workspace's golden dumps and report
+//! digests pin what they draw bit for bit, so a change to the seed
+//! expansion or to how a range draw consumes words re-pins all of them.
 
 use std::ops::{Range, RangeInclusive};
 

@@ -2,8 +2,11 @@
 //! implementing the rand shim's [`RngCore`]/[`SeedableRng`].
 //!
 //! The full ChaCha quarter-round core is implemented (8 double-rounds), so
-//! stream quality matches the real crate; only the exact output bits differ
-//! (rand_chacha's word order is not replicated), which no consumer relies on.
+//! stream quality matches the real crate; the exact output bits differ from
+//! it (rand_chacha's word order is not replicated).  These streams are
+//! frozen: every golden dump and report digest in the workspace pins their
+//! bits, so a change to the keystream, the seed expansion or the word order
+//! re-pins all of them.
 
 use rand::{RngCore, SeedableRng};
 
@@ -49,6 +52,22 @@ impl ChaCha8Rng {
         }
         self.counter = self.counter.wrapping_add(1);
         self.index = 0;
+    }
+
+    /// Moves the generator to `word_offset` 32-bit words from the start of
+    /// its stream, as the real crate's method of that name does: the next
+    /// word read is the one a fresh generator would return after skipping
+    /// `word_offset` words.  Only the block holding the offset is computed.
+    /// Like the real crate, the position wraps at the stream's period of
+    /// 2^68 words (a 64-bit block counter of 16-word blocks).
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        self.counter = (word_offset / 16) as u64;
+        self.index = 16;
+        let within = (word_offset % 16) as usize;
+        if within > 0 {
+            self.refill();
+            self.index = within;
+        }
     }
 }
 
@@ -155,6 +174,39 @@ mod tests {
                     lo | hi << 32,
                     "offset {offset} draw {draw}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn set_word_pos_skips_exactly_that_many_words() {
+        let offsets = (0..=40u128).chain([2_048, 8_191]);
+        for offset in offsets {
+            let mut skipped = ChaCha8Rng::seed_from_u64(23);
+            for _ in 0..offset {
+                skipped.next_u32();
+            }
+            let mut moved = ChaCha8Rng::seed_from_u64(23);
+            // Read past the target first: the move must not depend on where
+            // the generator was.
+            moved.next_u64();
+            moved.set_word_pos(offset);
+            // Mixed reads cross several block refills, and a `next_u64` read
+            // straddles a block boundary from every odd offset.
+            for draw in 0..40 {
+                if draw % 3 == 0 {
+                    assert_eq!(
+                        moved.next_u32(),
+                        skipped.next_u32(),
+                        "offset {offset} draw {draw}"
+                    );
+                } else {
+                    assert_eq!(
+                        moved.next_u64(),
+                        skipped.next_u64(),
+                        "offset {offset} draw {draw}"
+                    );
+                }
             }
         }
     }
