@@ -21,14 +21,38 @@
 //! one job, whose chunks are claimed one at a time through an atomic index.
 //! The caller claims and runs its own job's chunks until none is left, then
 //! waits on the job's latch; an idle worker claims chunks of any published
-//! job, oldest first.  A waiting caller never runs another job's chunk, so
-//! no thread re-enters a lock or a `OnceLock` initialiser that it holds.
-//! Every chunk a waiter waits for is already running on another thread,
-//! and a thread running it can itself wait only on a job published later,
-//! so waits never form a cycle.  Chunk results are concatenated in chunk
-//! order, which is input order, whatever thread ran each chunk.
+//! job, oldest first.  Chunk results are concatenated in chunk order, which
+//! is input order, whatever thread ran each chunk.
+//!
+//! A waiting caller helps only its own job's descendants ("leapfrogging":
+//! Wagner & Calder, PPoPP 1993).  A job links to the job whose chunk its
+//! publisher was running, so the jobs form a tree; while its latch is
+//! open, the caller claims chunks of any published job below its own, and
+//! sleeps only when none has any left.  A descendant's chunk runs code the
+//! job's own chunks call, and they wait for it, so whatever it would block
+//! on, a chunk of the job already blocks on: helping re-enters no lock or
+//! `OnceLock` initialiser that running one's own chunk does not.  A chunk
+//! of an unrelated job could (the `aim-serve` tests build their plans in
+//! `OnceLock::get_or_init` side by side), so a waiter never runs one.  The
+//! rule keeps four invariants:
+//!
+//! - *Waits are acyclic.*  A descendant is published after the job it
+//!   descends from, so a waiter runs only chunks of jobs published after
+//!   the one it waits on, and every thread waits only on a job published
+//!   after each job whose chunk it is running.  A chain of waits therefore
+//!   runs to ever later jobs and cannot close.
+//! - *Stack depth follows the program's nesting.*  Each chunk a waiter
+//!   helps with is deeper in the tree than the job it waits on.
+//! - *Parent links only compare.*  A link may keep an exhausted job
+//!   alive after its caller returned; such a job is only compared by
+//!   address, and its closure is never called after its latch.
+//! - *No wake-up is lost.*  A publisher pushes its job under `jobs`, then
+//!   notifies each ancestor's latch under that ancestor's `finished` lock;
+//!   a waiter scans `jobs` while it holds its own `finished` lock, and no
+//!   thread takes a `finished` lock while it holds `jobs`.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -83,8 +107,16 @@ struct Job {
     /// mutexes, and completion through `finished`.
     next: AtomicUsize,
     finished: Mutex<Finished>,
-    /// Signalled when the last chunk finishes.
+    /// Signalled when the last chunk finishes, and when a descendant is
+    /// published.
     latch: Condvar,
+    /// The job whose chunk the publishing thread was running, if any.
+    parent: Option<Arc<Job>>,
+}
+
+thread_local! {
+    /// The job whose chunk this thread is running, if any.
+    static CURRENT: Cell<Option<Arc<Job>>> = const { Cell::new(None) };
 }
 
 impl Job {
@@ -98,10 +130,18 @@ impl Job {
         self.next.load(Ordering::Relaxed) >= self.chunks
     }
 
-    /// Claims and runs chunks until none is left.
-    fn run_claims(&self) {
+    /// The jobs above this one, nearest first.
+    fn ancestors(&self) -> impl Iterator<Item = &Job> {
+        std::iter::successors(self.parent.as_deref(), |job| job.parent.as_deref())
+    }
+
+    /// Claims and runs chunks until none is left, marking this job as the
+    /// thread's current one around each chunk.
+    fn run_claims(self: &Arc<Self>) {
         while let Some(index) = self.claim() {
+            let outer = CURRENT.replace(Some(Arc::clone(self)));
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| (self.run)(index)));
+            CURRENT.set(outer);
             let mut finished = lock(&self.finished);
             if let Err(payload) = outcome {
                 let lowest = finished.panic.as_ref().is_none_or(|&(i, _)| index < i);
@@ -185,24 +225,49 @@ impl Pool {
         //   succeeds and a worker still holding the job never calls it;
         // - each chunk's call runs under `catch_unwind`, so no panic escapes
         //   on a worker or skips the count; the payload is kept and, after
-        //   the latch, resumed on this thread unchanged.
+        //   the latch, resumed on this thread unchanged;
+        // - a descendant's `parent` link may keep the job alive past this
+        //   function, but through it the job is only walked past and
+        //   compared by address, never claimed from: every descendant is
+        //   published by a chunk of this job's subtree, so before the latch,
+        //   and no job published later links to it.
         let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
+        let parent = CURRENT.take();
+        CURRENT.set(parent.clone());
         let job = Arc::new(Job {
             run,
             chunks,
             next: AtomicUsize::new(0),
             finished: Mutex::default(),
             latch: Condvar::new(),
+            parent,
         });
         lock(&self.jobs).push_back(Arc::clone(&job));
         self.published.notify_all();
+        // Every ancestor's waiter may help with this job: wake it under its
+        // `finished` lock, which it holds from its scan of `jobs` to its wait.
+        for ancestor in job.ancestors() {
+            let _finished = lock(&ancestor.finished);
+            ancestor.latch.notify_all();
+        }
         job.run_claims();
+        // Help with descendants' chunks while any is left; sleep otherwise.
         let mut finished = lock(&job.finished);
         while finished.chunks < chunks {
-            finished = job
-                .latch
-                .wait(finished)
-                .unwrap_or_else(PoisonError::into_inner);
+            let nested = lock(&self.jobs)
+                .iter()
+                .find(|j| !j.exhausted() && j.ancestors().any(|a| std::ptr::eq(a, &*job)))
+                .cloned();
+            if let Some(nested) = nested {
+                drop(finished);
+                nested.run_claims();
+                finished = lock(&job.finished);
+            } else {
+                finished = job
+                    .latch
+                    .wait(finished)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
         if let Some((_, payload)) = finished.panic.take() {
             drop(finished);
