@@ -500,7 +500,7 @@ struct ClassAcc {
 
 /// Incremental [`ServeReport`] builder: absorb request groups one at a
 /// time, then [`Self::finish`] freezes the percentiles and utilizations.
-/// The event-driven session feeds one of these *as groups retire* (state
+/// The event-driven session feeds one of these *as groups resolve* (state
 /// is dropped once absorbed, so session memory stays bounded); sharded
 /// deployments can also drive accumulators directly.
 ///
@@ -516,6 +516,15 @@ struct ClassAcc {
 /// grouping and — for everything except the chip re-indexing and the
 /// left-most seed — merge *order*.  Memory is O(chips + classes), never
 /// O(requests).
+///
+/// Absorb order is free as well: the `absorb_*` and
+/// [`Self::note_group_formed`] calls commute, so one set of calls made in
+/// any order yields the same accumulator and the same report bytes
+/// (`tests/accumulator_merge.rs` pins this).  The session depends on it —
+/// it folds each group in when the group executes, not in commit order —
+/// so any new field must be an order-free fold too: an integer sum, a
+/// maximum, a sticky flag or a sketch count, never an `f64` running sum or
+/// anything else that remembers the sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReportAccumulator {
     seed: u64,

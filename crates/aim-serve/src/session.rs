@@ -97,19 +97,24 @@
 //!
 //! Session memory is proportional to *in-flight* work, never to the total
 //! traffic absorbed.  Request state lives inside its open batch and then
-//! its group record; executed chip-queue slots are popped as they retire,
-//! and resolved group records are absorbed into the session's
-//! [`ReportAccumulator`] — itself bounded — **in commit order** and
-//! dropped.  (The strict commit-order absorption is what keeps the report
-//! byte-identical no matter when groups happened to retire.)  The only
-//! per-request state that can outlive its group is the unpolled
-//! [`RequestOutcome`] stream, and `ServeConfig::completion_capacity` bounds
-//! that too — report-only callers that never poll hold a fixed window, with
-//! the overflow counted by [`Self::completions_dropped`].  The stepping hot
-//! path reuses its buffers: the chip lanes execute in place into one
-//! session-owned result buffer, and each absorbed group's request buffer is
-//! recycled into the next batch to open, so the session never holds more
-//! request buffers than it once had batches and groups in flight at once.
+//! its group record until the group resolves; executed chip-queue slots
+//! are popped as they retire.  A group is folded into the session's
+//! [`ReportAccumulator`] — itself bounded — the moment it resolves: an
+//! executed group at harvest, a rejected one at commit.  That is execution
+//! order, not commit order, and the report is byte-identical all the same,
+//! because every fold the accumulator makes commutes.  Only the
+//! calibration loop's EWMA depends on order, so a resolved group's record
+//! keeps nothing but its drift sample until every group committed before it
+//! has resolved too; the loop then takes the samples in commit order and
+//! drops the records.  The only per-request state that can outlive its
+//! group is the unpolled [`RequestOutcome`] stream, and
+//! `ServeConfig::completion_capacity` bounds that too — report-only
+//! callers that never poll hold a fixed window, with the overflow counted
+//! by [`Self::completions_dropped`].  The stepping hot path reuses its
+//! buffers: the chip lanes execute in place into one session-owned result
+//! buffer, and each resolved group's request buffer is recycled into the
+//! next batch to open, so the session never holds more request buffers
+//! than it once had batches and unresolved groups at once.
 //!
 //! [`submit`]: ServeSession::submit
 //! [`run_until`]: ServeSession::run_until
@@ -239,22 +244,25 @@ struct ExecDone {
     drift: Option<DriftSample>,
 }
 
-/// Everything the session knows about one committed group, including its
-/// members' request state — dropped wholesale once the group is absorbed
-/// into the report accumulator.
+/// What the session keeps of one committed group: its members' request
+/// state until the group resolves (is rejected, evicted or executed), then
+/// only its drift sample until the calibration loop takes it in commit
+/// order and the record is dropped.
 #[derive(Debug, Clone)]
 struct GroupRecord {
     model: usize,
+    /// Empty once the group resolved: its buffer went back to the spares.
     requests: Vec<(usize, TraceRequest)>,
     /// `None` when admission control rejected the group.
     chip: Option<usize>,
-    done: Option<ExecDone>,
+    /// The executed group's drift observation, when one was measured.
+    drift: Option<DriftSample>,
     /// Whether the group was requeued off a dead chip before starting.
     failed_over: bool,
-    /// Whether the group was evicted before starting ([`ServeSession::
-    /// evict_pending`]); evicted groups leave the session's accounting
-    /// entirely — their requests are someone else's to serve.
-    evicted: bool,
+    /// Whether the group was rejected, evicted or executed.  A rejected or
+    /// executed group is already in the report accumulator; an evicted one
+    /// never enters it.
+    resolved: bool,
 }
 
 /// Per-model state of the online calibration loop
@@ -515,12 +523,14 @@ pub struct ServeSession<'rt> {
     /// Pending window closures: `(close_at, generation) -> model`.
     events: BTreeMap<(u64, u64), usize>,
     next_generation: u64,
-    /// Committed groups not yet absorbed into the accumulator; the group
-    /// with commit index `gid` lives at `groups[gid - groups_base]`.
+    /// Committed groups, in commit order, that the calibration loop has
+    /// not yet seen; the group with commit index `gid` lives at
+    /// `groups[gid - groups_base]`.
     groups: VecDeque<GroupRecord>,
-    /// Commit index of the front of `groups` (= groups already absorbed).
+    /// Commit index of the front of `groups` (= groups already dropped).
     groups_base: usize,
-    /// The running report, fed in commit order as groups resolve.
+    /// The running report, fed each group as it resolves, in whatever order
+    /// groups happen to execute ([`ReportAccumulator`]'s folds commute).
     acc: ReportAccumulator,
     lanes: Vec<ChipLane>,
     next_round_robin: usize,
@@ -542,7 +552,7 @@ pub struct ServeSession<'rt> {
     /// The slots one harvest executed, reused across harvests (empty
     /// between them).
     retired: Vec<ExecDone>,
-    /// Cleared request buffers of absorbed groups and evicted batches,
+    /// Cleared request buffers of resolved groups and evicted batches,
     /// reused by the next batches to open.
     spare_requests: Vec<Vec<(usize, TraceRequest)>>,
 }
@@ -1063,13 +1073,18 @@ impl<'rt> ServeSession<'rt> {
                         },
                     });
                 }
+                self.acc.note_group_formed();
+                for (_, request) in &batch.requests {
+                    self.acc.absorb_rejected_request(request.slo);
+                }
+                self.recycle(batch.requests);
                 self.groups.push_back(GroupRecord {
                     model,
-                    requests: batch.requests,
+                    requests: Vec::new(),
                     chip: None,
-                    done: None,
+                    drift: None,
                     failed_over: false,
-                    evicted: false,
+                    resolved: true,
                 });
                 self.absorb_resolved();
                 return;
@@ -1103,9 +1118,9 @@ impl<'rt> ServeSession<'rt> {
             model,
             requests: batch.requests,
             chip: Some(chip),
-            done: None,
+            drift: None,
             failed_over: false,
-            evicted: false,
+            resolved: false,
         });
     }
 
@@ -1340,8 +1355,10 @@ impl<'rt> ServeSession<'rt> {
         }
         for slot in orphans {
             let record = &mut self.groups[slot.gid - self.groups_base];
-            record.evicted = true;
-            evicted.extend(record.requests.iter().copied());
+            record.resolved = true;
+            let requests = std::mem::take(&mut record.requests);
+            evicted.extend_from_slice(&requests);
+            self.recycle(requests);
         }
         // Open batches have not even committed; their queued window-closure
         // events go stale and are ignored by the generation liveness check.
@@ -1355,8 +1372,8 @@ impl<'rt> ServeSession<'rt> {
     }
 
     /// `(groups, requests)` failed over off dead chips, counted once as each
-    /// group is absorbed into the report (an evicted group never is).  After
-    /// [`Self::drain`] that is every failed-over group the session served.
+    /// group executes (an evicted group never does).  After [`Self::drain`]
+    /// that is every failed-over group the session served.
     #[must_use]
     pub fn failed_over(&self) -> (usize, usize) {
         (self.failed_over_groups, self.failed_over_requests)
@@ -1529,19 +1546,22 @@ impl<'rt> ServeSession<'rt> {
             }
         }
         // Completions stream in commit order within each harvest, so the
-        // output order never depends on chip interleaving.
+        // output order never depends on chip interleaving.  Each executed
+        // group folds into the report here, while earlier-committed groups
+        // may still be queued: the accumulator's folds commute, so only the
+        // calibration loop waits for commit order (`absorb_resolved`).
         self.retired.sort_unstable_by_key(|done| done.gid);
         let mut retired = std::mem::take(&mut self.retired);
         for done in retired.drain(..) {
             let record = &mut self.groups[done.gid - self.groups_base];
-            record.done = Some(done);
+            record.resolved = true;
+            record.drift = done.drift;
             let chip = record.chip.expect("an executed group was dispatched");
-            let batch_size = record.requests.len();
             let failed_over = record.failed_over;
             let model = record.model;
-            for pair_index in 0..batch_size {
-                let record = &self.groups[done.gid - self.groups_base];
-                let (ri, request) = record.requests[pair_index];
+            let requests = std::mem::take(&mut record.requests);
+            let batch_size = requests.len();
+            for &(ri, request) in &requests {
                 self.push_completion(RequestOutcome {
                     request: ri,
                     model,
@@ -1558,6 +1578,30 @@ impl<'rt> ServeSession<'rt> {
                     },
                 });
             }
+            self.acc.note_group_formed();
+            if failed_over {
+                self.failed_over_groups += 1;
+                self.failed_over_requests += batch_size;
+            }
+            self.acc
+                .absorb_executed_group(chip, done.start, done.finish, batch_size, &done.exec);
+            for &(_, request) in &requests {
+                self.acc.absorb_served_request(
+                    request.slo,
+                    done.finish - request.arrival_cycles,
+                    done.finish > request.deadline_cycles,
+                );
+            }
+            if let Some(sample) = done.drift.filter(|sample| sample.verify) {
+                let bound = self
+                    .runtime
+                    .analytical_plans()
+                    .expect("verified groups are analytical")[model]
+                    .error_bound();
+                self.acc
+                    .absorb_verify_sample(sample.predicted, sample.accurate, bound);
+            }
+            self.recycle(requests);
         }
         self.retired = retired;
         self.absorb_resolved();
@@ -1565,81 +1609,35 @@ impl<'rt> ServeSession<'rt> {
 
     // --- reporting ---------------------------------------------------------
 
-    /// Absorbs the resolved prefix of the group deque into the session's
-    /// accumulator — strictly in commit order, so the accumulation sequence
-    /// never depends on when groups happened to retire — and recycles the
-    /// absorbed records' request buffers.  A group is resolved once it was
-    /// rejected, evicted, or executed; an unresolved group blocks
-    /// everything behind it (the deque is the in-flight window, bounded by
-    /// queue depth).
-    fn absorb_resolved(&mut self) {
-        while let Some(front) = self.groups.front() {
-            let resolved = front.evicted || front.chip.is_none() || front.done.is_some();
-            if !resolved {
-                break;
-            }
-            let mut record = self.groups.pop_front().expect("front exists");
-            self.groups_base += 1;
-            // Evicted groups migrated to another session before starting;
-            // whoever served them accounts for them.
-            if !record.evicted {
-                self.absorb_group(&record);
-            }
-            record.requests.clear();
-            self.spare_requests.push(record.requests);
-        }
+    /// Returns a resolved group's request buffer to the spares, emptied.
+    fn recycle(&mut self, mut requests: Vec<(usize, TraceRequest)>) {
+        requests.clear();
+        self.spare_requests.push(requests);
     }
 
-    /// Absorbs one resolved, non-evicted group into the accumulator.
-    fn absorb_group(&mut self, record: &GroupRecord) {
-        self.acc.note_group_formed();
-        if record.failed_over {
-            self.failed_over_groups += 1;
-            self.failed_over_requests += record.requests.len();
-        }
-        let Some(chip) = record.chip else {
-            for (_, request) in &record.requests {
-                self.acc.absorb_rejected_request(request.slo);
-            }
-            return;
-        };
-        let done = record.done.expect("a resolved admitted group has executed");
-        self.acc.absorb_executed_group(
-            chip,
-            done.start,
-            done.finish,
-            record.requests.len(),
-            &done.exec,
-        );
-        for &(_, request) in &record.requests {
-            self.acc.absorb_served_request(
-                request.slo,
-                done.finish - request.arrival_cycles,
-                done.finish > request.deadline_cycles,
-            );
-        }
-        let Some(sample) = done.drift else {
-            return;
-        };
-        if sample.verify {
-            let bound = self
-                .runtime
-                .analytical_plans()
-                .expect("verified groups are analytical")[record.model]
-                .error_bound();
-            self.acc
-                .absorb_verify_sample(sample.predicted, sample.accurate, bound);
-        }
-        // The EWMA folds samples in commit order — the only order shared
-        // across worker counts and run_until granularities — over the
-        // *signed* post-scaling residual, so systematic over- and
-        // under-prediction pull the next recalibration in opposite
-        // directions instead of both inflating it.
-        if let Some(cfg) = Self::loop_config(self.runtime) {
+    /// Drops the resolved prefix of the group deque, folding its drift
+    /// samples into the calibration loop's EWMAs strictly in commit order —
+    /// the only order shared across worker counts and `run_until`
+    /// granularities.  A group is resolved once it was rejected, evicted,
+    /// or executed, and the report accumulator already holds everything
+    /// else about it; an unresolved group holds back every record behind it
+    /// (the deque is the in-flight window, bounded by queue depth).
+    fn absorb_resolved(&mut self) {
+        let decay = Self::loop_config(self.runtime).map(|cfg| cfg.ewma_decay);
+        while self.groups.front().is_some_and(|record| record.resolved) {
+            let record = self.groups.pop_front().expect("front exists");
+            self.groups_base += 1;
+            let (Some(decay), Some(sample)) = (decay, record.drift) else {
+                continue;
+            };
+            // The EWMA folds the *signed* post-scaling residual, so
+            // systematic over- and under-prediction pull the next
+            // recalibration in opposite directions instead of both
+            // inflating it.
             let state = &mut self.cal[record.model];
             let predicted = sample.predicted.max(1) as f64;
             let residual = (sample.accurate as f64 - predicted) / predicted;
-            state.ewma = cfg.ewma_decay * residual + (1.0 - cfg.ewma_decay) * state.ewma;
+            state.ewma = decay * residual + (1.0 - decay) * state.ewma;
             state.row.max_abs_ewma_drift = state.row.max_abs_ewma_drift.max(state.ewma.abs());
             state.row.samples += 1;
             state.samples_since_recal += 1;

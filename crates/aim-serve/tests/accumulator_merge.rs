@@ -8,6 +8,10 @@
 //! * chips re-index gaplessly even when some chips served nothing;
 //! * the merge is associative: any shard-tree grouping produces the same
 //!   bytes (pinned by a property over randomly generated absorb sequences);
+//! * absorb order is free: one set of absorb calls, made in any order,
+//!   gives the same accumulator and the same report bytes — the session
+//!   folds each group in when it executes, not in commit order, and relies
+//!   on this;
 //! * shards disagreeing on the nominal frequency are rejected loudly (the
 //!   bug this suite flushed out: the old merge silently kept the left
 //!   shard's frequency, misreporting merged throughput).
@@ -243,6 +247,141 @@ proptest! {
         for (i, chip) in report.per_chip.iter().enumerate() {
             prop_assert_eq!(chip.chip, i);
         }
+    }
+}
+
+/// One absorb call, decoded from a random `(kind, a, b, c)` tuple.
+#[derive(Debug, Clone, Copy)]
+enum Absorb {
+    GroupFormed,
+    Executed {
+        chip: usize,
+        start: u64,
+        finish: u64,
+        batch: usize,
+        exec: PlanExecution,
+    },
+    Served {
+        class: SloClass,
+        latency: u64,
+        missed: bool,
+    },
+    Verify {
+        analytical: u64,
+        accurate: u64,
+        bound: f64,
+    },
+    Rejected {
+        class: SloClass,
+    },
+}
+
+/// A value in `[lo, lo + span)` carrying all 53 mantissa bits of `bits`, so
+/// sums of such values round differently in different orders.
+fn unit_f64(bits: u64, lo: f64, span: f64) -> f64 {
+    lo + (bits >> 11) as f64 / (1u64 << 53) as f64 * span
+}
+
+fn decode(chips: usize, (kind, a, b, c): (u8, u64, u64, u64)) -> Absorb {
+    let class = SloClass::ALL[(a % 3) as usize];
+    match kind % 5 {
+        0 => Absorb::GroupFormed,
+        1 => {
+            let start = b % (1 << 40);
+            let cycles = c % (1 << 30);
+            Absorb::Executed {
+                chip: (a % chips as u64) as usize,
+                start,
+                finish: start + cycles + (a >> 40) % 4096,
+                batch: 1 + ((a >> 8) % 16) as usize,
+                exec: PlanExecution {
+                    cycles,
+                    failures: (b >> 40) % 4,
+                    useful_macro_cycles: cycles / 2,
+                    overhead_fraction: 0.25,
+                    avg_macro_power_mw: unit_f64(a ^ c.rotate_left(17), 0.5, 120.0),
+                    effective_tops: 1.5,
+                    worst_irdrop_mv: unit_f64(b ^ c, 10.0, 90.0),
+                    mean_irdrop_mv: 20.0,
+                },
+            }
+        }
+        2 => Absorb::Served {
+            class,
+            latency: b % (1 << 40),
+            missed: c & 1 == 1,
+        },
+        3 => Absorb::Verify {
+            analytical: 1 + b % (1 << 30),
+            accurate: 1 + c % (1 << 30),
+            bound: unit_f64(a, 0.0, 0.1),
+        },
+        _ => Absorb::Rejected { class },
+    }
+}
+
+fn absorb_all(chips: usize, events: &[Absorb]) -> ReportAccumulator {
+    let mut acc = ReportAccumulator::new(7, chips, 1.0);
+    acc.set_analytical_context(chips, true, 0.05);
+    for event in events {
+        match *event {
+            Absorb::GroupFormed => acc.note_group_formed(),
+            Absorb::Executed {
+                chip,
+                start,
+                finish,
+                batch,
+                exec,
+            } => acc.absorb_executed_group(chip, start, finish, batch, &exec),
+            Absorb::Served {
+                class,
+                latency,
+                missed,
+            } => acc.absorb_served_request(class, latency, missed),
+            Absorb::Verify {
+                analytical,
+                accurate,
+                bound,
+            } => acc.absorb_verify_sample(analytical, accurate, bound),
+            Absorb::Rejected { class } => acc.absorb_rejected_request(class),
+        }
+    }
+    acc
+}
+
+/// `items` in a Fisher–Yates order drawn from a splitmix64 stream.
+fn permuted<T: Copy>(items: &[T], mut seed: u64) -> Vec<T> {
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        out.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+proptest! {
+    /// Order freedom: absorbing one multiset of calls — executed groups on
+    /// explicit chips with explicit start and finish, served and rejected
+    /// requests, verification samples — in the generated order and in a
+    /// seeded permutation yields equal accumulators and byte-identical
+    /// reports.  The session folds each group in when it executes, so its
+    /// report bytes rest on this property.
+    #[test]
+    fn absorb_order_is_free(
+        chips in 1usize..5,
+        rows in proptest::collection::vec(any::<(u8, u64, u64, u64)>(), 0..48),
+        seed in any::<u64>(),
+    ) {
+        let events: Vec<Absorb> = rows.iter().map(|&row| decode(chips, row)).collect();
+        let given = absorb_all(chips, &events);
+        let shuffled = absorb_all(chips, &permuted(&events, seed));
+        prop_assert_eq!(&given, &shuffled);
+        prop_assert_eq!(json(&given), json(&shuffled));
+        prop_assert_eq!(json(&given.finish()), json(&shuffled.finish()));
     }
 }
 

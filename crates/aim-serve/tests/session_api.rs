@@ -10,6 +10,9 @@
 //!   incremental stepping returns byte-identical reports to the one-shot
 //!   wrapper;
 //! * `ReportAccumulator::merge` combines sharded sessions;
+//! * the calibration loop folds drift samples in commit order, so
+//!   event-by-event stepping and one drain report the same bytes even when
+//!   groups execute out of commit order;
 //! * `ServeConfig` validation, through the builder and through
 //!   `ServeRuntime::from_plans`.
 
@@ -634,4 +637,90 @@ fn the_calibration_loop_never_touches_scheduling_estimates() {
         assert_eq!(a.groups, b.groups, "placement diverged on chip {}", a.chip);
         assert_eq!(a.requests, b.requests);
     }
+}
+
+/// The calibration loop folds drift samples in *commit* order, whatever
+/// order groups execute in.  Round-robin dispatch onto a degraded chip 0
+/// and a healthy chip 1 makes later-committed groups on chip 1 start
+/// before earlier-committed ones on chip 0, and the two chips' samples
+/// carry different residuals (the derate rounds each side of a sample).
+/// Stepping event by event executes such a pair in two harvests, one
+/// drain executes it in one; an EWMA fed in execution order would then
+/// recalibrate differently, and the two reports would differ.
+#[test]
+fn drift_samples_fold_in_commit_order_under_any_stepping() {
+    let config = ServeConfig::builder()
+        .chips(2)
+        .max_batch(1)
+        .dispatch(DispatchPolicy::RoundRobin)
+        .backend(BackendKind::Analytical)
+        .verify_every(1)
+        .calibration(Some(CalibrationLoopConfig {
+            ewma_decay: 0.5,
+            demote_streak: 1,
+            promote_streak: 2,
+            // Long enough that inverted pairs share the first window: the
+            // order of folds in different windows cannot matter.
+            recalibrate_interval_cycles: 6_000,
+        }))
+        .build();
+    let mut runtime = ServeRuntime::from_plans(plans().clone(), config);
+    runtime.distort_model_calibration(0, 1.6);
+    let trace: Vec<TraceRequest> = (0..24u64)
+        .map(|i| req(0, i * 100, SloClass::Standard))
+        .collect();
+    let session = || {
+        let mut session = runtime.session();
+        session.set_chip_health(
+            0,
+            ChipHealth::Degraded {
+                slowdown_percent: 37,
+            },
+            0,
+        );
+        for request in &trace {
+            session.submit(*request);
+        }
+        session
+    };
+
+    let coarse = session().drain();
+
+    let mut stepped = session();
+    let mut outcomes = Vec::new();
+    while let Some(next) = stepped.next_event_cycles() {
+        stepped.run_until(next);
+        outcomes.extend(stepped.poll_completions());
+    }
+    let fine = stepped.drain();
+    outcomes.extend(stepped.poll_completions());
+
+    // The scenario must hold an execution-order inversion: some group
+    // starts before a group committed ahead of it.
+    let starts: Vec<(usize, u64)> = outcomes
+        .iter()
+        .map(|o| match o.status {
+            CompletionStatus::Served {
+                group,
+                start_cycles,
+                ..
+            } => (group, start_cycles),
+            CompletionStatus::Rejected { .. } => unreachable!("no admission control"),
+        })
+        .collect();
+    assert!(
+        starts
+            .iter()
+            .any(|&(g, s)| starts.iter().any(|&(h, t)| h > g && t < s)),
+        "no later-committed group started first: {starts:?}"
+    );
+    let cal = coarse.calibration.as_ref().expect("the loop is on");
+    assert!(
+        cal.recalibrations > 1,
+        "the loop must act on the samples: {cal:?}"
+    );
+    assert_eq!(
+        serde_json::to_string(&coarse).unwrap(),
+        serde_json::to_string(&fine).unwrap()
+    );
 }

@@ -1037,12 +1037,14 @@ const HYPER_REQUESTS: usize = 1_000_000;
 /// the *fleet shape*, not the trace length: the trace streams off the
 /// generator, latency pools are bounded sketches, served session state
 /// retires as it resolves, and the completion buffer is capped — doubling
-/// the request count must not move the peak.  The leg read 69.5–72.3 MiB
-/// at 1, 2, 4 and 8 worker threads on a 2-vCPU Linux VM; the ceiling is
-/// 1.25 × the largest reading, rounded up to a multiple of 8 MiB, so whole
-/// flip banks and fixed 1 920-bucket sketches (101.6–103.6 MiB) fail it.
-/// Documented in PERF.md ("Peak RSS").
-const HYPER_RSS_CEILING_MIB: f64 = 96.0;
+/// the request count must not move the peak.  With groups folded into the
+/// report as they execute, the leg read 53.3–55.3 MiB at 1, 2, 4 and 8
+/// worker threads on a 2-vCPU Linux VM; the ceiling is 1.25 × the largest
+/// reading, rounded up to a multiple of 8 MiB, so whole flip banks and
+/// fixed 1 920-bucket sketches (101.6–103.6 MiB) fail it.  Documented in
+/// PERF.md ("Peak RSS" and "Groups fold into the report when they
+/// execute").
+const HYPER_RSS_CEILING_MIB: f64 = 72.0;
 
 fn hyper_traffic() -> TrafficConfig {
     // ~60 cycles mean inter-arrival over a million requests spans a
